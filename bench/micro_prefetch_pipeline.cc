@@ -78,17 +78,15 @@ int main(int argc, char** argv) {
       {PrefetchPolicy::kAmac, 16, 2},    {PrefetchPolicy::kAmac, 32, 4},
   };
 
-  // The paper's BCHT representative; scalar twin + the widest horizontal
-  // kernel this CPU supports.
+  // The paper's BCHT representative; scalar twin + every horizontal kernel
+  // (one per vector width) this CPU supports.
   const LayoutSpec layout = Layout(2, 4);
   std::vector<const KernelInfo*> kernels = {
       KernelRegistry::Get().Scalar(layout)};
-  const KernelInfo* widest = nullptr;
   for (const KernelInfo* k : KernelRegistry::Get().Find(
            KernelQuery{layout, Approach::kHorizontal})) {
-    if (widest == nullptr || k->width_bits > widest->width_bits) widest = k;
+    kernels.push_back(k);
   }
-  if (widest != nullptr) kernels.push_back(widest);
 
   std::vector<std::string> headers = {"HT size", "kernel", "schedule",
                                       "Mlookups/s", "vs direct"};

@@ -34,6 +34,11 @@ for preset in "${presets[@]}"; do
     # every supported ISA tier) must match its scalar twin probe-for-probe.
     echo "=== kernel parity gate ==="
     ./build/bench/micro_kernels --check
+    # Repository benchmark smoke: every BENCHMARK.json workload for a second
+    # on small tables, untraced and traced, must print exactly the declared
+    # metrics with no failed operation (builds into .bench_build/).
+    echo "=== repository benchmark smoke ==="
+    python3 perfbench/run.py --smoke
     # Real-TCP serving smoke: two serve processes on loopback, open-loop
     # loadgen, cross-connection batching visible in the RunReport, a
     # mid-run Prometheus scrape, and the client+server trace merge.

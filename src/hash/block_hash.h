@@ -12,6 +12,11 @@
 // Layout contract: outputs are key-major. BlockBuckets writes
 // out[i * ways + w] = Bucket(w, keys[i]) so one key's candidates are
 // contiguous (the order the engine probes and prefetches them).
+//
+// BlockBuckets is force-inlined: the per-ISA horizontal lookup kernels
+// (simd/horizontal_impl.h) call it from translation units built with wider
+// -m flags, and an out-of-line instantiation shared across those units could
+// leave baseline code calling an AVX-512 copy.
 #ifndef SIMDHT_HASH_BLOCK_HASH_H_
 #define SIMDHT_HASH_BLOCK_HASH_H_
 
@@ -25,8 +30,9 @@ namespace simdht {
 // Candidate buckets for all `ways` of keys[0..n), key-major:
 // out[i * ways + w] = family.Bucket<K>(w, keys[i]).
 template <typename K>
-inline void BlockBuckets(const HashFamily& family, unsigned ways,
-                         const K* keys, std::size_t n, std::uint32_t* out) {
+SIMDHT_ALWAYS_INLINE void BlockBuckets(const HashFamily& family,
+                                       unsigned ways, const K* keys,
+                                       std::size_t n, std::uint32_t* out) {
   if (family.kind == HashKind::kMultiplyShift) {
     // One way at a time over the whole block: a single multiplier per loop
     // keeps the body a pure mul+shift stream the vectorizer handles.

@@ -243,7 +243,7 @@ template <typename K, typename V>
 void ConcurrentCuckooTable<K, V>::BatchInsert(const MutationBatch<K, V>& batch) {
   std::lock_guard<std::mutex> lock(writer_mu_);
   TableStore& st = store();
-  const MutationKernel* kernel = MutationRegistry::Get().ForCuckoo(st.spec());
+  const MutationKernel* kernel = table_.mutation_kernel();
   const unsigned ways = st.spec().ways;
   std::uint32_t buckets[kMutationChunk * kMaxWays];
   for (std::size_t base = 0; base < batch.size; base += kMutationChunk) {
@@ -335,7 +335,7 @@ template <typename K, typename V>
 void ConcurrentCuckooTable<K, V>::BatchUpdate(const MutationBatch<K, V>& batch) {
   std::lock_guard<std::mutex> lock(writer_mu_);
   TableStore& st = store();
-  const MutationKernel* kernel = MutationRegistry::Get().ForCuckoo(st.spec());
+  const MutationKernel* kernel = table_.mutation_kernel();
   const unsigned ways = st.spec().ways;
   std::uint32_t buckets[kMutationChunk * kMaxWays];
   for (std::size_t base = 0; base < batch.size; base += kMutationChunk) {

@@ -65,6 +65,7 @@ CuckooTable<K, V>::CuckooTable(unsigned ways, unsigned slots,
                                std::uint64_t seed)
     : store_(TableShape::For(SpecFor<K, V>(ways, slots, layout), num_buckets),
              seed),
+      mutation_kernel_(MutationRegistry::Get().ForCuckoo(store_.spec())),
       walk_rng_(seed ^ 0xA5A5A5A55A5A5A5AULL) {}
 
 template <typename K, typename V>
@@ -301,8 +302,6 @@ bool CuckooTable<K, V>::Insert(K key, V val) {
 
 template <typename K, typename V>
 void CuckooTable<K, V>::BatchInsert(const MutationBatch<K, V>& batch) {
-  const MutationKernel* kernel =
-      MutationRegistry::Get().ForCuckoo(store_.spec());
   const unsigned ways = store_.spec().ways;
   std::uint32_t buckets[kMutationChunk * kMaxWays];
   for (std::size_t base = 0; base < batch.size; base += kMutationChunk) {
@@ -340,7 +339,8 @@ void CuckooTable<K, V>::BatchInsert(const MutationBatch<K, V>& batch) {
         int place_slot = -1;
         for (unsigned w = 0; w < ways; ++w) {
           const std::uint32_t b = buckets[i * ways + w];
-          const BucketScan scan = kernel->bucket_scan(view, b, key_w);
+          const BucketScan scan =
+              mutation_kernel_->bucket_scan(view, b, key_w);
           if (scan.match_slot >= 0) {
             // Duplicate: overwrite in place (cuckoo invariant — at most
             // one copy), exactly where the scalar dup pass would.
@@ -387,8 +387,6 @@ void CuckooTable<K, V>::BatchInsert(const MutationBatch<K, V>& batch) {
 
 template <typename K, typename V>
 void CuckooTable<K, V>::BatchUpdate(const MutationBatch<K, V>& batch) {
-  const MutationKernel* kernel =
-      MutationRegistry::Get().ForCuckoo(store_.spec());
   const unsigned ways = store_.spec().ways;
   std::uint32_t buckets[kMutationChunk * kMaxWays];
   for (std::size_t base = 0; base < batch.size; base += kMutationChunk) {
@@ -409,7 +407,8 @@ void CuckooTable<K, V>::BatchUpdate(const MutationBatch<K, V>& batch) {
         const auto key_w = static_cast<std::uint64_t>(key);
         for (unsigned w = 0; w < ways && r == 0; ++w) {
           const std::uint32_t b = buckets[i * ways + w];
-          const BucketScan scan = kernel->bucket_scan(view, b, key_w);
+          const BucketScan scan =
+              mutation_kernel_->bucket_scan(view, b, key_w);
           if (scan.match_slot >= 0) {
             store_.SetVal(b, static_cast<unsigned>(scan.match_slot), vals[i]);
             r = 1;

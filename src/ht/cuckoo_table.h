@@ -127,6 +127,10 @@ class CuckooTable {
   // Read-only view for lookup kernels.
   TableView view() const { return store_.view(); }
 
+  // The bucket-scan kernel the batched mutation engine uses for this
+  // table's layout, resolved once at construction (never null).
+  const MutationKernel* mutation_kernel() const { return mutation_kernel_; }
+
   // The storage layer: wrappers that add their own concurrency discipline
   // (ConcurrentCuckooTable) reach the shared seqlock stripes and write
   // epoch through here instead of owning duplicates.
@@ -197,6 +201,7 @@ class CuckooTable {
   bool TryRebuild(K key, V val);
 
   TableStore store_;
+  const MutationKernel* mutation_kernel_;
   Xoshiro256 walk_rng_;
   PathSearchScratch scratch_;
   std::vector<PathStep> path_;

@@ -11,51 +11,40 @@ SwissTable<K, V>::SwissTable(std::uint64_t min_groups, std::uint64_t seed,
                              HashKind hash_kind)
     : store_(TableShape::For(
                  LayoutSpec::Swiss(sizeof(K) * 8, sizeof(V) * 8), min_groups),
-             seed, hash_kind) {}
+             seed, hash_kind),
+      mutation_kernel_(MutationRegistry::Get().ForSwiss()) {}
 
 template <typename K, typename V>
 bool SwissTable<K, V>::Find(K key, V* val) const {
-  const std::uint8_t h2 = store_.hash().H2<K>(key);
-  const std::uint64_t groups = store_.num_buckets();
-  const std::uint64_t mask = groups - 1;
-  std::uint64_t g = HomeGroup(key);
-  for (std::uint64_t probed = 0; probed < groups; ++probed) {
-    const std::uint64_t base = g * kSwissGroupSlots;
-    bool has_empty = false;
-    for (unsigned s = 0; s < kSwissGroupSlots; ++s) {
-      const std::uint8_t c = store_.CtrlAt(base + s);
-      if (c == h2 && store_.KeyAt<K>(g, s) == key) {
-        *val = store_.ValAt<V>(g, s);
-        return true;
-      }
-      has_empty |= c == kCtrlEmpty;
-    }
-    if (has_empty) return false;
-    g = (g + 1) & mask;
-  }
-  return false;
+  std::uint64_t g;
+  unsigned s;
+  if (!Locate(key, &g, &s)) return false;
+  *val = store_.ValAt<V>(g, s);
+  return true;
 }
 
 template <typename K, typename V>
-bool SwissTable<K, V>::Locate(K key, std::uint64_t* group,
-                              unsigned* slot) const {
+bool SwissTable<K, V>::Locate(K key, std::uint64_t* group, unsigned* slot,
+                              std::uint32_t* empty_mask) const {
   const std::uint8_t h2 = store_.hash().H2<K>(key);
+  const std::uint8_t* ctrl = store_.meta_data();
   const std::uint64_t groups = store_.num_buckets();
   const std::uint64_t mask = groups - 1;
   std::uint64_t g = HomeGroup(key);
   for (std::uint64_t probed = 0; probed < groups; ++probed) {
-    const std::uint64_t base = g * kSwissGroupSlots;
-    bool has_empty = false;
-    for (unsigned s = 0; s < kSwissGroupSlots; ++s) {
-      const std::uint8_t c = store_.CtrlAt(base + s);
-      if (c == h2 && store_.KeyAt<K>(g, s) == key) {
+    const GroupScan scan =
+        mutation_kernel_->group_scan(ctrl + g * kSwissGroupSlots, h2);
+    for (std::uint32_t m = scan.match_mask; m != 0; m &= m - 1) {
+      const auto s = static_cast<unsigned>(__builtin_ctz(m));
+      if (store_.KeyAt<K>(g, s) == key) {
         *group = g;
         *slot = s;
+        if (empty_mask != nullptr) *empty_mask = scan.empty_mask;
         return true;
       }
-      has_empty |= c == kCtrlEmpty;
     }
-    if (has_empty) return false;
+    // A group with an EMPTY byte proves the key is absent beyond it.
+    if (scan.empty_mask != 0) return false;
     g = (g + 1) & mask;
   }
   return false;
@@ -125,7 +114,6 @@ bool SwissTable<K, V>::Insert(K key, V val) {
 
 template <typename K, typename V>
 void SwissTable<K, V>::BatchInsert(const MutationBatch<K, V>& batch) {
-  const MutationKernel* kernel = MutationRegistry::Get().ForSwiss();
   const std::uint64_t groups = store_.num_buckets();
   const std::uint64_t mask = groups - 1;
   std::uint32_t homes[kMutationChunk];
@@ -153,8 +141,8 @@ void SwissTable<K, V>::BatchInsert(const MutationBatch<K, V>& batch) {
         bool updated = false;
         bool stop = false;
         for (std::uint64_t probed = 0; probed < groups && !stop; ++probed) {
-          const GroupScan scan =
-              kernel->group_scan(view.meta + g * kSwissGroupSlots, h2);
+          const GroupScan scan = mutation_kernel_->group_scan(
+              view.meta + g * kSwissGroupSlots, h2);
           for (std::uint32_t m = scan.match_mask; m != 0; m &= m - 1) {
             const auto s = static_cast<unsigned>(__builtin_ctz(m));
             if (store_.KeyAt<K>(g, s) == key) {
@@ -197,7 +185,6 @@ void SwissTable<K, V>::BatchInsert(const MutationBatch<K, V>& batch) {
 
 template <typename K, typename V>
 void SwissTable<K, V>::BatchUpdate(const MutationBatch<K, V>& batch) {
-  const MutationKernel* kernel = MutationRegistry::Get().ForSwiss();
   const std::uint64_t groups = store_.num_buckets();
   const std::uint64_t mask = groups - 1;
   std::uint32_t homes[kMutationChunk];
@@ -217,8 +204,8 @@ void SwissTable<K, V>::BatchUpdate(const MutationBatch<K, V>& batch) {
       std::uint8_t r = 0;
       bool stop = false;
       for (std::uint64_t probed = 0; probed < groups && !stop; ++probed) {
-        const GroupScan scan =
-            kernel->group_scan(view.meta + g * kSwissGroupSlots, h2);
+        const GroupScan scan = mutation_kernel_->group_scan(
+            view.meta + g * kSwissGroupSlots, h2);
         for (std::uint32_t m = scan.match_mask; m != 0; m &= m - 1) {
           const auto s = static_cast<unsigned>(__builtin_ctz(m));
           if (store_.KeyAt<K>(g, s) == key) {
@@ -249,17 +236,15 @@ template <typename K, typename V>
 bool SwissTable<K, V>::Erase(K key) {
   std::uint64_t g;
   unsigned s;
-  if (!Locate(key, &g, &s)) return false;
-  const std::uint64_t base = g * kSwissGroupSlots;
+  std::uint32_t empty_mask = 0;
+  if (!Locate(key, &g, &s, &empty_mask)) return false;
   // Abseil deletion rule: EMPTY is only safe if no probe sequence can have
   // passed fully through this group — i.e. the group already holds another
-  // EMPTY byte. Otherwise the slot becomes a TOMBSTONE that probes skip.
-  bool group_has_empty = false;
-  for (unsigned i = 0; i < kSwissGroupSlots; ++i) {
-    group_has_empty |= store_.CtrlAt(base + i) == kCtrlEmpty;
-  }
+  // EMPTY byte (the locating scan's empty mask). Otherwise the slot becomes
+  // a TOMBSTONE that probes skip.
   store_.SetSlot<K, V>(g, s, static_cast<K>(kEmptyKey), V{0});
-  store_.SetCtrl(base + s, group_has_empty ? kCtrlEmpty : kCtrlTombstone);
+  store_.SetCtrl(g * kSwissGroupSlots + s,
+                 empty_mask != 0 ? kCtrlEmpty : kCtrlTombstone);
   store_.AdjustSize(-1);
   return true;
 }

@@ -71,9 +71,9 @@ class SwissTable {
   // Batched UpdateValue: ok[i] = key present (value overwritten in place).
   void BatchUpdate(const MutationBatch<K, V>& batch);
 
-  // Scalar reference lookup: groupwise probe of the control lane, key
+  // Single-key reference lookup: groupwise probe of the control lane, key
   // verify on fingerprint match, stop at the first group holding an EMPTY.
-  // This is the semantics every Swiss SIMD kernel must reproduce.
+  // This is the semantics every Swiss lookup kernel must reproduce.
   bool Find(K key, V* val) const;
 
   // Overwrites the value of an existing key in place (single aligned word
@@ -130,10 +130,15 @@ class SwissTable {
     return store_.Bucket<K>(0, key);
   }
 
-  // Locates `key`; returns true and fills (group, slot) when present.
-  bool Locate(K key, std::uint64_t* group, unsigned* slot) const;
+  // Locates `key` with one control-group scan per probed group; returns
+  // true and fills (group, slot) when present, plus that group's EMPTY
+  // mask when `empty_mask` is non-null.
+  bool Locate(K key, std::uint64_t* group, unsigned* slot,
+              std::uint32_t* empty_mask = nullptr) const;
 
   TableStore store_;
+  // The control-group scan, resolved once at construction (never null).
+  const MutationKernel* mutation_kernel_;
   SwissInsertStats stats_;
 };
 

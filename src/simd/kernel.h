@@ -11,8 +11,10 @@
 // Batched probes travel as a ProbeBatch view: typed key/val spans, found
 // bytes, and an optional per-batch stats slot. KernelInfo::Lookup is the
 // canonical entry point; every kernel implements the native ProbeBatch
-// LookupFn signature, and the prefetch-pipelined engine (src/simd/pipeline.h)
-// slices the same batch into groups without the kernels knowing.
+// LookupFn signature. The prefetch-pipelined engine (src/simd/pipeline.h)
+// either slices the same batch into groups without the kernel knowing, or
+// (horizontal cuckoo kernels) hands over the whole batch with a prefetch
+// distance the kernel's own loop honours.
 //
 // Registration is open: a translation unit contributes kernels by calling
 // RegisterKernelProvider() before the first KernelRegistry::Get() — no edit
@@ -36,8 +38,12 @@ namespace simdht {
 struct ProbeBatchStats {
   std::uint64_t lookups = 0;          // keys probed
   std::uint64_t hits = 0;             // keys found
-  std::uint64_t kernel_calls = 0;     // compare-kernel invocations
-  std::uint64_t prefetch_groups = 0;  // pipeline prefetch stages issued
+  // Compare-loop passes: one per slice on the pipeline's slice schedule,
+  // one per batch on the direct path and the fused (in-loop prefetch) paths.
+  std::uint64_t kernel_calls = 0;
+  // Prefetch windows issued: one per group_size keys prefetched (a fused
+  // scalar-AMAC window spans amac_groups x group_size keys).
+  std::uint64_t prefetch_groups = 0;
 
   void Reset() { *this = ProbeBatchStats{}; }
 };
@@ -58,6 +64,11 @@ struct ProbeBatch {
   unsigned key_bits = 0;
   unsigned val_bits = 0;
   ProbeBatchStats* stats = nullptr;  // optional; see ProbeBatchStats
+  // Keys ahead of the compare loop whose candidate buckets a kernel that
+  // prefetches inside its own loop (the horizontal cuckoo kernels) fetches
+  // while comparing; 0 = no prefetching. PipelinedLookup sets it; other
+  // kernels ignore it.
+  unsigned prefetch_distance = 0;
 
   // Builds a typed batch view over caller-owned spans.
   template <typename K, typename V>

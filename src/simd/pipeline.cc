@@ -60,11 +60,12 @@ std::uint64_t RunPipeline(const KernelInfo& kernel, const TableView& view,
 // miss buffers and get dropped, while one probe's worth of prefetch per
 // compare step keeps a steady `window`-deep stream of misses in flight.
 //
-// Fusing requires owning the compare loop, so this path exists only for the
-// scalar twin; its loop below replicates ScalarLookup (scalar_kernels.cc)
-// exactly — the equivalence suite (tests/simd/test_pipeline.cc) holds it
-// bit-identical to the kernel's direct output. SIMD kernels keep their
-// vector compare loops and take the windowed slice schedule instead.
+// Fusing requires owning the compare loop; its loop below replicates
+// ScalarLookup (scalar_kernels.cc) exactly — the equivalence suite
+// (tests/simd/test_pipeline.cc) holds it bit-identical to the kernel's
+// direct output. The horizontal kernels fuse the same interleave into their
+// own vector loops (simd/horizontal_impl.h); vertical and Swiss kernels take
+// the windowed slice schedule.
 template <typename K, typename V>
 std::uint64_t RunFusedAmac(const TableView& view, const ProbeBatch& batch,
                            std::size_t window) {
@@ -106,6 +107,7 @@ std::uint64_t RunFusedAmac(const TableView& view, const ProbeBatch& batch,
   if (batch.stats != nullptr) {
     batch.stats->lookups += n;
     batch.stats->hits += hits;
+    batch.stats->kernel_calls += 1;
     batch.stats->prefetch_groups += (n + window - 1) / window;
   }
   return hits;
@@ -189,12 +191,27 @@ std::uint64_t PipelinedLookup(const KernelInfo& kernel, const TableView& view,
   ProbeBatch typed = batch;
   if (typed.key_bits == 0) typed.key_bits = view.spec.key_bits;
   if (typed.val_bits == 0) typed.val_bits = view.spec.val_bits;
+  typed.prefetch_distance = 0;
 
   if (config.policy == PrefetchPolicy::kNone || typed.size == 0) {
     return kernel.Lookup(view, typed);
   }
 
   const std::size_t group = config.group_size;
+
+  // Horizontal cuckoo kernels prefetch inside their own compare loop: one
+  // call over the whole batch, `group_size` keys ahead, under both policies.
+  // Each group_size-key window counts as one prefetch group.
+  if (kernel.approach == Approach::kHorizontal &&
+      view.spec.family == TableFamily::kCuckoo) {
+    typed.prefetch_distance = config.group_size;
+    const std::uint64_t hits = kernel.Lookup(view, typed);
+    if (typed.stats != nullptr) {
+      typed.stats->prefetch_groups += (typed.size + group - 1) / group;
+    }
+    return hits;
+  }
+
   const std::size_t depth =
       config.policy == PrefetchPolicy::kAmac ? config.amac_groups : 1;
 

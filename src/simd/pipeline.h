@@ -2,27 +2,27 @@
 //
 // The compare kernels (scalar, horizontal, vertical) issue dependent loads:
 // hash the key, then fetch the candidate buckets. Once the table exceeds
-// the LLC every probe stalls on DRAM. The kernels themselves are pure
-// compare loops — all latency hiding lives here, as a software pipeline
-// layered over *any* registered kernel without touching its compare loop:
+// the LLC every probe stalls on DRAM. The engine decides how those misses
+// overlap, per kernel kind:
 //
-//   kGroup  Group prefetch: split the batch into mini-batches of
-//           `group_size` keys. Hash every key of group g+1 and prefetch both
-//           candidate buckets, then hand group g to the compare kernel.
-//           By the time the kernel reaches group g+1 its lines are in L2.
-//   kAmac   AMAC-style interleaving (after Kocberber et al.'s Asynchronous
-//           Memory Access Chaining): keep a window of amac_groups x
-//           group_size probes in flight. On the scalar twin the engine owns
-//           the compare loop, so the interleave is fully fused: one probe's
-//           candidate buckets are prefetched per probe completed, which
-//           keeps a steady window-deep miss stream without the bursts that
-//           overrun the core's outstanding-miss buffers. SIMD kernels keep
-//           their vector compare loops, so for them kAmac falls back to the
-//           windowed slice schedule (group bursts, amac_groups deep).
+//   Horizontal cuckoo kernels (both policies) own the schedule: the engine
+//           hands them the whole batch with ProbeBatch::prefetch_distance =
+//           group_size, and their per-key loop (simd/horizontal_impl.h)
+//           prefetches key i + group_size's candidate buckets right before
+//           comparing key i — one key's lines per key compared, a steady
+//           miss stream with no bursts. amac_groups does not apply.
+//   Scalar twin under kAmac: the engine's own fused copy of the scalar loop
+//           does the same per-key interleave with a window of amac_groups x
+//           group_size probes (after Kocberber et al.'s Asynchronous Memory
+//           Access Chaining).
+//   Everything else (scalar under kGroup, vertical and Swiss kernels)
+//           takes the slice schedule: split the batch into mini-batches of
+//           `group_size` keys, prefetch the candidate buckets of the group
+//           `depth` ahead (1 for kGroup, amac_groups for kAmac), then hand
+//           group g to the kernel as a plain ProbeBatch slice.
 //
-// Except for the fused scalar-AMAC path, the kernel sees plain ProbeBatch
-// slices, so the engine plugs in behind every kernel family registered in
-// kernel.h; results are bit-identical to the direct path in all cases.
+// Under kNone the kernel gets the batch directly with prefetch distance 0.
+// Results are bit-identical to the direct path in all cases.
 #ifndef SIMDHT_SIMD_PIPELINE_H_
 #define SIMDHT_SIMD_PIPELINE_H_
 
@@ -51,8 +51,10 @@ bool ParsePrefetchPolicy(const std::string& name, PrefetchPolicy* out);
 // the prefetched lines still live in L2 when the kernel consumes them.
 struct PipelineConfig {
   PrefetchPolicy policy = PrefetchPolicy::kNone;
-  unsigned group_size = 32;  // keys per mini-batch
-  unsigned amac_groups = 4;  // mini-batches in flight (kAmac only)
+  // Keys per mini-batch; for horizontal kernels, the in-loop prefetch
+  // distance (clamped to detail::kHashTile = 64).
+  unsigned group_size = 32;
+  unsigned amac_groups = 4;  // mini-batches in flight (kAmac, slice/scalar)
 
   // Label suffix for design points: "direct", "group:32", "amac:4x32".
   std::string Describe() const;

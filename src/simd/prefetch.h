@@ -3,9 +3,10 @@
 // Batched lookups know the whole probe stream up front, so the candidate
 // buckets of upcoming keys can be pulled into cache while the current keys
 // are being compared — that overlap is what hides the random-access
-// latency dominating out-of-cache tables. The compare kernels themselves
-// stay schedule-free; the pipelined engine (pipeline.h) drives these
-// primitives a configurable group of keys ahead of the kernel.
+// latency dominating out-of-cache tables. The pipelined engine (pipeline.h)
+// drives these primitives a configurable group of keys ahead of the scalar,
+// vertical and Swiss kernels; the horizontal kernels prefetch inside their
+// own compare loop from block-hashed candidates (horizontal_impl.h).
 #ifndef SIMDHT_SIMD_PREFETCH_H_
 #define SIMDHT_SIMD_PREFETCH_H_
 

@@ -20,8 +20,7 @@ std::uint64_t ScalarLookup(const TableView& view, const ProbeBatch& batch) {
   std::uint64_t hits = 0;
 
   // Pure compare loop: the memory schedule (candidate-bucket prefetching)
-  // is owned by the pipeline engine (simd/pipeline.h), not the kernel, so
-  // scalar and SIMD variants see the identical schedule for any policy.
+  // is owned by the pipeline engine (simd/pipeline.h), not the kernel.
   for (std::size_t i = 0; i < batch.size; ++i) {
     const K key = keys[i];
     V value = 0;

@@ -71,12 +71,12 @@ class SimdHashTable {
     // CPU: true (default) accepts the scalar twin, false makes the
     // constructor throw so "I asked for SIMD" failures are loud.
     bool allow_scalar_fallback = true;
-    // Prefetch schedule for BatchGet (see simd/pipeline.h). The kernels are
-    // pure compare loops, so this is the only latency hiding. AMAC is the
-    // right default: on the scalar twin it fuses into a per-key interleave
-    // (the big out-of-LLC win), on SIMD kernels it degrades to a windowed
-    // slice schedule that stays cheap even on cache-resident tables. Set
-    // policy = kNone for the raw direct path.
+    // Prefetch schedule for BatchGet (see simd/pipeline.h). Under kGroup or
+    // kAmac the horizontal kernels prefetch group_size keys ahead inside
+    // their own compare loop, and the scalar twin fuses the same per-key
+    // interleave under kAmac (the big out-of-LLC wins); vertical and Swiss
+    // kernels take a windowed slice schedule. Set policy = kNone for the raw
+    // direct path, which prefetches nothing.
     PipelineConfig pipeline{PrefetchPolicy::kAmac, /*group_size=*/32,
                             /*amac_groups=*/4};
   };

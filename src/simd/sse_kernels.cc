@@ -2,7 +2,8 @@
 //
 // SSE has no hardware gather, so only the horizontal approach exists at this
 // tier — this is why Listing 1 shows no 128-bit option for the vertical
-// designs. Compiled with -msse4.2 only.
+// designs. A 128-bit vector holds at most one bucket block, so these Ops
+// need no LoadTwoHalves. Compiled with -msse4.2 only.
 #include <immintrin.h>
 
 #include "simd/horizontal_impl.h"
@@ -21,9 +22,6 @@ struct SseOps16 {
   static Vec LoadFull(const void* p) {
     return _mm_loadu_si128(static_cast<const __m128i*>(p));
   }
-  static Vec LoadTwoHalves(const void* lo, const void* /*hi*/) {
-    return LoadFull(lo);  // unreachable: 128-bit probes are 1 bucket/vec
-  }
   static std::uint64_t CmpMask(Vec a, Vec b) {
     return static_cast<std::uint32_t>(
         _mm_movemask_epi8(_mm_cmpeq_epi16(a, b)));
@@ -40,9 +38,6 @@ struct SseOps32 {
   static Vec LoadFull(const void* p) {
     return _mm_loadu_si128(static_cast<const __m128i*>(p));
   }
-  static Vec LoadTwoHalves(const void* lo, const void* /*hi*/) {
-    return LoadFull(lo);
-  }
   static std::uint64_t CmpMask(Vec a, Vec b) {
     return static_cast<std::uint32_t>(
         _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(a, b))));
@@ -58,9 +53,6 @@ struct SseOps64 {
   }
   static Vec LoadFull(const void* p) {
     return _mm_loadu_si128(static_cast<const __m128i*>(p));
-  }
-  static Vec LoadTwoHalves(const void* lo, const void* /*hi*/) {
-    return LoadFull(lo);
   }
   static std::uint64_t CmpMask(Vec a, Vec b) {
     return static_cast<std::uint32_t>(

@@ -1,6 +1,7 @@
 // Concurrent structural writes vs SIMD batch lookups (library extension).
 //
-// ConcurrentCuckooTable allows full inserts/erases (BFS path displacement)
+// The seqlocked cuckoo table (ConcurrentCuckooTable, CuckooTable's
+// SeqlockWriters policy) allows full inserts/erases (BFS path displacement)
 // to race epoch-validated batch lookups. This bench measures what a
 // continuous insert/erase churn costs the readers — the step beyond
 // ablation_mixed_rw's in-place value updates, completing the paper's

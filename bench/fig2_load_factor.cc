@@ -2,7 +2,8 @@
 //
 // Paper: N-way (non-bucketized) cuckoo for N = 2..4 reaches ~50/91/97%,
 // and (N, m) BCHT rises with slots-per-bucket (e.g. (2,4) ~93%). We measure
-// empirically: insert unique random keys until the eviction walk fails.
+// empirically: insert unique random keys until an insert finally fails (no
+// BFS eviction path, stash full, rebuild recovery exhausted).
 #include "bench_common.h"
 #include "ht/table_builder.h"
 

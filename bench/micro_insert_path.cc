@@ -1,11 +1,12 @@
-// Insertion-engine microbench: random-walk vs BFS path-search placement.
+// Insertion-engine microbench: max load factor of the BFS path-search
+// engine.
 //
-// For each (N, m) shape, fills a fresh table to saturation under both
-// policies and reports the achieved load factor (median and min-max band
-// over the seed set), successful-insert throughput, and the engine's
-// failure/recovery counters. The walk configuration disables the stash and
-// rebuild tiers so it reproduces the legacy insert path; the BFS
-// configuration runs the full engine (path search + stash + rebuild).
+// For each (N, m) shape, fills a fresh table to saturation with the full
+// engine (path search + stash + rebuild, at their defaults) and reports the
+// achieved load factor (median and min-max band over the seed set),
+// successful-insert throughput, and the engine's failure/recovery counters.
+// The final comparison against the retired random-walk insert is recorded
+// in docs/insertion.md.
 //
 // --check turns the run into a regression gate (used by scripts/check.sh
 // and CI): exits non-zero unless BFS (4,8) reaches >= 0.95 LF and BFS (2,1)
@@ -38,13 +39,6 @@ struct Shape {
   unsigned n, m;
 };
 
-struct PolicyRun {
-  const char* name;
-  InsertPolicy policy;
-  unsigned stash_capacity;
-  bool rebuild;
-};
-
 struct ShapeResult {
   std::vector<double> lf_samples;  // sorted after collection
   double minserts_per_sec = 0.0;   // mean over seeds
@@ -58,9 +52,8 @@ struct ShapeResult {
   }
 };
 
-ShapeResult RunShape(const Shape& shape, const PolicyRun& policy,
-                     std::uint64_t buckets, unsigned seeds,
-                     std::uint64_t base_seed) {
+ShapeResult RunShape(const Shape& shape, std::uint64_t buckets,
+                     unsigned seeds, std::uint64_t base_seed) {
   ShapeResult out;
   RunningStat rate, failed, rebuilds, stash;
   for (unsigned i = 0; i < seeds; ++i) {
@@ -68,9 +61,6 @@ ShapeResult RunShape(const Shape& shape, const PolicyRun& policy,
     if (s == 0) s = 1;
     CuckooTable<std::uint32_t, std::uint32_t> table(
         shape.n, shape.m, buckets, BucketLayout::kInterleaved, s);
-    table.set_insert_policy(policy.policy);
-    table.set_stash_capacity(policy.stash_capacity);
-    table.set_rebuild_enabled(policy.rebuild);
 
     Timer timer;
     const BuildResult<std::uint32_t> result =
@@ -286,57 +276,45 @@ int main(int argc, char** argv) {
     if (name == "engine") batch_engine = (value == "batch");
   }
   if (batch_engine) return RunEngineStudy(opt, check);
-  PrintHeader("Insertion engine: random-walk vs BFS path search", opt);
-  ReportSession session(opt, "Insertion engine: walk vs BFS path search");
+  PrintHeader("Insertion engine: BFS path search max load factor", opt);
+  ReportSession session(opt, "Insertion engine: BFS path search");
 
   // Comparable slot count across shapes: scale buckets down by m.
   const std::uint64_t base_buckets = opt.quick ? (1u << 12) : (1u << 15);
   const unsigned seeds = opt.quick ? 3 : 5;
 
   const Shape shapes[] = {{2, 1}, {3, 1}, {4, 1}, {2, 4}, {2, 8}, {4, 8}};
-  const PolicyRun policies[] = {
-      // Legacy configuration: bounded random walk, no stash, no rebuild.
-      {"walk", InsertPolicy::kRandomWalk, 0, false},
-      // The full engine at its defaults.
-      {"bfs", InsertPolicy::kBfs, kDefaultStashCapacity, true},
-  };
 
-  TablePrinter table({"N", "m", "policy", "max LF (median)", "LF min-max",
+  TablePrinter table({"N", "m", "max LF (median)", "LF min-max",
                       "Minserts/s", "failed", "rebuilds", "stash"});
   double bfs_lf_4_8 = 0.0;
   double bfs_lf_2_1 = 0.0;
   for (const Shape& shape : shapes) {
     const std::uint64_t buckets = std::max<std::uint64_t>(
         1, base_buckets / shape.m);
-    for (const PolicyRun& policy : policies) {
-      const ShapeResult r =
-          RunShape(shape, policy, buckets, seeds, opt.seed);
-      const double median = r.median_lf();
-      if (policy.policy == InsertPolicy::kBfs) {
-        if (shape.n == 4 && shape.m == 8) bfs_lf_4_8 = median;
-        if (shape.n == 2 && shape.m == 1) bfs_lf_2_1 = median;
-      }
-      char band[64];
-      std::snprintf(band, sizeof(band), "%.3f-%.3f", r.lf_samples.front(),
-                    r.lf_samples.back());
-      table.AddRow({TablePrinter::Fmt(std::int64_t{shape.n}),
-                    TablePrinter::Fmt(std::int64_t{shape.m}), policy.name,
-                    TablePrinter::Fmt(median, 3), band,
-                    TablePrinter::Fmt(r.minserts_per_sec, 2),
-                    TablePrinter::Fmt(r.failed_inserts, 1),
-                    TablePrinter::Fmt(r.rebuilds, 1),
-                    TablePrinter::Fmt(r.stash_used, 1)});
-      session.AddRow(
-          std::string("insert/") + policy.name,
-          {{"ways", std::to_string(shape.n)},
-           {"slots", std::to_string(shape.m)},
-           {"policy", policy.name}},
-          {{"max_load_factor", ReportSession::Stat(median)},
-           {"minserts_per_sec", ReportSession::Stat(r.minserts_per_sec)},
-           {"failed_inserts", ReportSession::Stat(r.failed_inserts)},
-           {"rebuilds", ReportSession::Stat(r.rebuilds)},
-           {"stash_entries", ReportSession::Stat(r.stash_used)}});
-    }
+    const ShapeResult r = RunShape(shape, buckets, seeds, opt.seed);
+    const double median = r.median_lf();
+    if (shape.n == 4 && shape.m == 8) bfs_lf_4_8 = median;
+    if (shape.n == 2 && shape.m == 1) bfs_lf_2_1 = median;
+    char band[64];
+    std::snprintf(band, sizeof(band), "%.3f-%.3f", r.lf_samples.front(),
+                  r.lf_samples.back());
+    table.AddRow({TablePrinter::Fmt(std::int64_t{shape.n}),
+                  TablePrinter::Fmt(std::int64_t{shape.m}),
+                  TablePrinter::Fmt(median, 3), band,
+                  TablePrinter::Fmt(r.minserts_per_sec, 2),
+                  TablePrinter::Fmt(r.failed_inserts, 1),
+                  TablePrinter::Fmt(r.rebuilds, 1),
+                  TablePrinter::Fmt(r.stash_used, 1)});
+    session.AddRow("insert/bfs",
+                   {{"ways", std::to_string(shape.n)},
+                    {"slots", std::to_string(shape.m)}},
+                   {{"max_load_factor", ReportSession::Stat(median)},
+                    {"minserts_per_sec",
+                     ReportSession::Stat(r.minserts_per_sec)},
+                    {"failed_inserts", ReportSession::Stat(r.failed_inserts)},
+                    {"rebuilds", ReportSession::Stat(r.rebuilds)},
+                    {"stash_entries", ReportSession::Stat(r.stash_used)}});
   }
   Emit(table, opt);
 

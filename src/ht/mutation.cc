@@ -1,24 +1,10 @@
 #include "ht/mutation.h"
 
-#include <algorithm>
 #include <cstring>
 
 namespace simdht {
 
 namespace {
-
-// Providers queued before the registry builds; function-local so static
-// initializers in other TUs can register regardless of init order (the same
-// discipline as src/simd/registry.cc).
-struct ProviderQueue {
-  std::vector<MutationKernelProviderFn> providers;
-  bool drained = false;
-};
-
-ProviderQueue& Queue() {
-  static ProviderQueue queue;
-  return queue;
-}
 
 // Scalar twins: locate keys through the TableView accessors, so one
 // template serves both bucket layouts and every value width.
@@ -78,30 +64,11 @@ void AppendScalarMutationKernels(std::vector<MutationKernel>* out) {
   out->push_back(swiss);
 }
 
-bool RegisterMutationKernelProvider(MutationKernelProviderFn provider) {
-  ProviderQueue& queue = Queue();
-  if (queue.drained) return false;
-  if (std::find(queue.providers.begin(), queue.providers.end(), provider) ==
-      queue.providers.end()) {
-    queue.providers.push_back(provider);
-  }
-  return true;
-}
-
 MutationRegistry::MutationRegistry() {
-  // Hard-referenced built-ins first (scalar twins, then per-ISA scans), so
-  // selection can prefer the highest tier without ordering surprises.
+  // Scalar twins, then per-ISA scans; selection prefers the highest tier.
   AppendScalarMutationKernels(&kernels_);
   AppendSseMutationKernels(&kernels_);
   AppendAvx2MutationKernels(&kernels_);
-  ProviderQueue& queue = Queue();
-  queue.drained = true;
-  std::vector<MutationKernel> batch;
-  for (MutationKernelProviderFn provider : queue.providers) {
-    batch.clear();
-    provider(&batch);
-    for (MutationKernel& k : batch) kernels_.push_back(k);
-  }
 }
 
 const MutationRegistry& MutationRegistry::Get() {

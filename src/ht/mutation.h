@@ -12,14 +12,14 @@
 // a BFS path of length one, and the BFS root scan is way-major slot-minor —
 // the same order these scans report).
 //
-// Scan kernels are registered through an open provider hook mirroring the
-// lookup registry's RegisterKernelProvider (src/simd/kernel.h). The per-ISA
-// scan TUs live beside the tables (mutation_simd.cc / mutation_avx2.cc,
-// compiled with per-file ISA flags like src/simd's kernel TUs) because the
-// layering runs simd → ht: tables cannot link the lookup-kernel registry,
-// but every binary that links simdht_ht — with or without simdht_simd —
-// must agree on batch results. Selection is gated on runtime CpuFeatures,
-// and the scalar twins make every scan available everywhere.
+// Scan kernels come from a fixed built-in list: scalar twins plus SSE and
+// AVX2 scans. The per-ISA scan TUs live beside the tables (mutation_simd.cc
+// / mutation_avx2.cc, compiled with per-file ISA flags like src/simd's
+// kernel TUs) because the layering runs simd → ht: tables cannot link the
+// lookup-kernel registry, but every binary that links simdht_ht — with or
+// without simdht_simd — must agree on batch results. Selection is gated on
+// runtime CpuFeatures, and the scalar twins make every scan available
+// everywhere.
 #ifndef SIMDHT_HT_MUTATION_H_
 #define SIMDHT_HT_MUTATION_H_
 
@@ -109,15 +109,8 @@ struct MutationKernel {
   }
 };
 
-// Open registration, mirroring RegisterKernelProvider: providers queue
-// until the registry first builds, then drain once. Returns false once the
-// registry exists (the provider will never run). Duplicate provider
-// pointers register once.
-using MutationKernelProviderFn = void (*)(std::vector<MutationKernel>*);
-bool RegisterMutationKernelProvider(MutationKernelProviderFn provider);
-
 // Process-wide mutation-scan registry. Built on first use from the
-// built-in scalar/SSE/AVX2 scans plus any queued providers.
+// built-in scalar/SSE/AVX2 scans.
 class MutationRegistry {
  public:
   static const MutationRegistry& Get();
@@ -155,8 +148,8 @@ SIMDHT_ALWAYS_INLINE void PrefetchGroupForWrite(const TableView& view,
   PrefetchBucketForWrite(view, group);
 }
 
-// Built-in scan appenders (hard references from the registry constructor so
-// static-archive linking can never drop them; see file comment).
+// Built-in scan appenders, hard-referenced from the registry constructor so
+// static-archive linking can never drop them.
 void AppendScalarMutationKernels(std::vector<MutationKernel>* out);
 void AppendSseMutationKernels(std::vector<MutationKernel>* out);
 void AppendAvx2MutationKernels(std::vector<MutationKernel>* out);

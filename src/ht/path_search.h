@@ -1,12 +1,12 @@
 // Shared BFS path-search insertion engine for cuckoo-family tables.
 //
-// A bounded random walk (what MemC3 and CuckooSwitch ship, and what this
-// suite used before) finds *a* chain of evictions; breadth-first search
-// finds the *shortest* one, and — crucially for the load-factor
-// characterization of Fig 2 — it only fails when no reachable bucket has an
-// empty slot within the search budget, not when a walk got unlucky. The BFS
-// is read-only: a failed search makes zero writes, so the failed-insert
-// unwind invariant (table bytes bit-identical) holds trivially.
+// A bounded random walk (what MemC3 and CuckooSwitch ship; this suite's
+// measured comparison is in docs/insertion.md) finds *a* chain of
+// evictions; breadth-first search finds the *shortest* one, and — crucially
+// for the load-factor characterization of Fig 2 — it only fails when no
+// reachable bucket has an empty slot within the search budget, not when a
+// walk got unlucky. The BFS is read-only: a failed search makes zero
+// writes, so a failed insert leaves the table bytes bit-identical.
 //
 // The engine is generic over a small Graph concept so one search serves
 // every table family:
@@ -21,9 +21,10 @@
 //     unsigned alts(std::uint64_t b, unsigned s, std::uint64_t* out) const;
 //   };
 //
-// CuckooTable / ConcurrentCuckooTable use CuckooPathGraph (full keys, N
-// ways); Memc3Table builds its own adapter over (bucket, tag) pairs —
-// partial-key displacement derives the alternate bucket from the tag alone.
+// CuckooTable uses CuckooPathGraph (full keys, N ways) under both writer
+// policies — the seqlocked one replays the path under its stripes; Memc3Table
+// builds its own adapter over (bucket, tag) pairs — partial-key
+// displacement derives the alternate bucket from the tag alone.
 //
 // Buckets are deduplicated with a generation-stamped visited set (cuckoo
 // graphs are dense in alternates; without dedup the frontier revisits the

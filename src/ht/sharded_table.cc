@@ -15,30 +15,30 @@ ShardedTable<K, V>::ShardedTable(unsigned shards, unsigned ways,
   const std::uint64_t per_shard =
       (num_buckets_total + shards - 1) / shards;
   shards_.reserve(shards);
-  shard_seeds_.reserve(shards);
   for (unsigned s = 0; s < shards; ++s) {
-    const std::uint64_t shard_seed = SeedForShard(seed, s);
     shards_.push_back(std::make_unique<ConcurrentCuckooTable<K, V>>(
-        ways, slots, per_shard, layout, shard_seed));
-    shard_seeds_.push_back(shard_seed);
+        ways, slots, per_shard, layout, SeedForShard(seed, s)));
   }
 }
 
 template <typename K, typename V>
 ShardedTable<K, V>::ShardedTable(std::vector<CuckooTable<K, V>>&& shard_tables,
-                                 std::vector<std::uint64_t> shard_seeds)
-    : shard_seeds_(std::move(shard_seeds)) {
+                                 const std::vector<std::uint64_t>& shard_seeds) {
   if (shard_tables.empty()) {
     throw std::invalid_argument("ShardedTable: no shards to adopt");
   }
-  if (shard_tables.size() != shard_seeds_.size()) {
+  if (shard_tables.size() != shard_seeds.size()) {
     throw std::invalid_argument(
         "ShardedTable: shard/seed count mismatch");
   }
   shards_.reserve(shard_tables.size());
-  for (auto& t : shard_tables) {
-    shards_.push_back(
-        std::make_unique<ConcurrentCuckooTable<K, V>>(std::move(t)));
+  for (std::size_t s = 0; s < shard_tables.size(); ++s) {
+    if (shard_tables[s].store().seed() != shard_seeds[s]) {
+      throw std::invalid_argument(
+          "ShardedTable: shard table does not carry its recorded seed");
+    }
+    shards_.push_back(std::make_unique<ConcurrentCuckooTable<K, V>>(
+        std::move(shard_tables[s])));
   }
 }
 

@@ -1,11 +1,12 @@
-// ShardedTable<K, V>: P independent concurrent cuckoo shards behind one
+// ShardedTable<K, V>: P independent seqlocked cuckoo shards behind one
 // table interface — the partitioned storage layer a serving-grade KVS needs
 // (Cuckoo++; "Scalable Hash Table for NUMA Systems").
 //
-// Each shard is a ConcurrentCuckooTable over its own TableStore (own
-// arena, own hash-family seed, own writer lock, own seqlock stripes and
-// write epoch), so structural writes in one shard never invalidate batched
-// readers in another. Keys route to shards through one Mix64 avalanche
+// Each shard is a ConcurrentCuckooTable — the SeqlockWriters instantiation
+// of CuckooTable — over its own TableStore (own arena, own hash-family
+// seed, own writer lock, own seqlock stripes and write epoch), so
+// structural writes in one shard never invalidate batched readers in
+// another. Keys route to shards through one Mix64 avalanche
 // (ShardRouterHash) — the same randomization the KVS consistent-hash ring
 // applies to its server points — folded into [0, P) with a multiply-shift
 // (no modulo, any P, not just powers of two). The router hash is
@@ -27,7 +28,7 @@
 #include <utility>
 #include <vector>
 
-#include "ht/concurrent_table.h"
+#include "ht/cuckoo_table.h"
 
 namespace simdht {
 
@@ -68,9 +69,12 @@ class ShardedTable {
                std::uint64_t num_buckets_total, BucketLayout layout,
                std::uint64_t seed = 0);
 
-  // Adopts deserialized per-shard tables (ht/table_io.h).
+  // Adopts deserialized per-shard tables (ht/table_io.h), moving each
+  // into a seqlocked shard. `shard_seeds[i]` is the seed shard i was
+  // recorded with; throws std::invalid_argument when the counts differ or
+  // a table's store carries a different seed.
   ShardedTable(std::vector<CuckooTable<K, V>>&& shard_tables,
-               std::vector<std::uint64_t> shard_seeds);
+               const std::vector<std::uint64_t>& shard_seeds);
 
   static std::uint32_t ShardOf(K key, unsigned shards) {
     return ShardIndexOf(ShardRouterHash(static_cast<std::uint64_t>(key)),
@@ -170,7 +174,7 @@ class ShardedTable {
   }
   std::uint64_t table_bytes() const {
     std::uint64_t total = 0;
-    for (const auto& s : shards_) total += s->table().table_bytes();
+    for (const auto& s : shards_) total += s->table_bytes();
     return total;
   }
 
@@ -182,12 +186,12 @@ class ShardedTable {
   const ConcurrentCuckooTable<K, V>& shard(unsigned i) const {
     return *shards_[i];
   }
-  // The seed shard `i`'s hash family is *currently* derived from — read
-  // from the live store, not the construction-time record, because a
-  // rebuild recovery reseeds a shard in place (snapshots validate seed
-  // against stored multipliers, so a stale answer would poison them).
+  // The seed shard `i`'s hash family is *currently* derived from, read from
+  // the live store: a rebuild recovery reseeds a shard in place, and
+  // snapshots validate seed against stored multipliers, so a stale answer
+  // would poison them.
   std::uint64_t shard_seed(unsigned i) const {
-    return shards_[i]->table().store().seed();
+    return shards_[i]->store().seed();
   }
 
   // Per-shard insertion counters, one entry per shard — the write-path
@@ -208,7 +212,6 @@ class ShardedTable {
       total.direct_inserts += st.direct_inserts;
       total.path_inserts += st.path_inserts;
       total.path_moves += st.path_moves;
-      total.walk_kicks += st.walk_kicks;
       total.stash_inserts += st.stash_inserts;
       total.rebuilds += st.rebuilds;
       total.failed_inserts += st.failed_inserts;
@@ -278,7 +281,6 @@ class ShardedTable {
 
   // unique_ptr because a shard owns a writer mutex (not movable).
   std::vector<std::unique_ptr<ConcurrentCuckooTable<K, V>>> shards_;
-  std::vector<std::uint64_t> shard_seeds_;
 };
 
 using ShardedTable32 = ShardedTable<std::uint32_t, std::uint32_t>;

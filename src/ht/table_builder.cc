@@ -75,9 +75,9 @@ std::vector<K> UniqueRandomKeys(std::size_t count, std::uint64_t seed,
 namespace {
 
 // Fully-failed top-up rounds before the fill concedes the table is full.
-// Two rounds: BFS placement is deterministic, so one round without a single
-// landing already means saturation — the second guards against a round
-// whose keys were simply unlucky under the random-walk policy.
+// Two rounds: BFS placement is deterministic, so a round of fresh keys
+// without a single landing almost always means saturation — the second is
+// a cheap guard against a key draw that was merely unlucky.
 constexpr unsigned kTopUpGiveUpRounds = 2;
 
 // Shared fill discipline for plain and sharded tables: full first pass
@@ -128,7 +128,7 @@ BuildResult<K> FillImpl(Table* table, double target_lf, std::uint64_t seed) {
   insert_batch(drawn, &retry);
 
   // Retry pass: placements made after a key failed can have opened an
-  // eviction path for it (and the walk policy simply rerolls its luck).
+  // eviction path for it.
   insert_batch(retry, nullptr);
 
   // Exact-target top-up: replace keys that never landed with fresh ones so

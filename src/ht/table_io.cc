@@ -64,37 +64,42 @@ struct SwissSnapshotHeader {
   std::uint64_t seed;
 };
 
-}  // namespace
-
-template <typename K, typename V>
-bool SaveTable(const CuckooTable<K, V>& table, std::ostream& out) {
+// One cuckoo snapshot (SHTB2) from the storage layer, so tables under
+// either writer policy serialize through the same bytes.
+bool SaveCuckooStore(const TableStore& store, std::ostream& out) {
   SnapshotHeader header{};
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
-  const LayoutSpec& spec = table.spec();
+  const LayoutSpec& spec = store.spec();
   header.key_bits = spec.key_bits;
   header.val_bits = spec.val_bits;
   header.ways = spec.ways;
   header.slots = spec.slots;
   header.bucket_layout = static_cast<std::uint32_t>(spec.bucket_layout);
-  header.log2_buckets = Log2Floor(table.num_buckets());
-  header.size = table.size();
+  header.log2_buckets = store.log2_buckets();
+  header.size = store.size();
   for (unsigned i = 0; i < kMaxWays; ++i) {
-    header.mult[i] = table.hash_family().mult[i];
+    header.mult[i] = store.hash().mult[i];
   }
-  header.data_bytes = table.table_bytes();
-  const TableStore& store = table.store();
+  header.data_bytes = store.table_bytes();
   header.seed = store.seed();
   header.stash_capacity = store.stash_capacity();
   header.stash_count = store.stash_count();
 
   out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-  out.write(reinterpret_cast<const char*>(table.raw_data()),
+  out.write(reinterpret_cast<const char*>(store.data()),
             static_cast<std::streamsize>(header.data_bytes));
   for (std::uint32_t i = 0; i < header.stash_count; ++i) {
     const StashEntry e = store.stash_at(i);
     out.write(reinterpret_cast<const char*>(&e), sizeof(e));
   }
   return static_cast<bool>(out);
+}
+
+}  // namespace
+
+template <typename K, typename V>
+bool SaveTable(const CuckooTable<K, V>& table, std::ostream& out) {
+  return SaveCuckooStore(table.store(), out);
 }
 
 template <typename K, typename V>
@@ -260,7 +265,7 @@ bool SaveShardedTable(const ShardedTable<K, V>& table, std::ostream& out) {
     record.shard_index = s;
     record.seed = table.shard_seed(s);
     out.write(reinterpret_cast<const char*>(&record), sizeof(record));
-    if (!SaveTable(table.shard(s).table(), out)) return false;
+    if (!SaveCuckooStore(table.shard(s).store(), out)) return false;
   }
   return static_cast<bool>(out);
 }
@@ -289,8 +294,8 @@ std::optional<ShardedTable<K, V>> LoadShardedTable(std::istream& in) {
     }
     std::optional<CuckooTable<K, V>> shard = LoadTable<K, V>(in);
     if (!shard) return std::nullopt;
-    // A shard's stored multipliers must be the ones its recorded seed
-    // derives: otherwise the router/seed metadata lies about the data and
+    // A shard's stored multipliers and seed must be the ones its record
+    // names: otherwise the router/seed metadata lies about the data and
     // every re-derived hash (rebuilds, resharding) would misplace keys.
     const HashFamily expected = HashFamily::Make(
         Log2Floor(shard->num_buckets()), record.seed);
@@ -299,6 +304,7 @@ std::optional<ShardedTable<K, V>> LoadShardedTable(std::istream& in) {
         return std::nullopt;  // seed mismatch
       }
     }
+    if (shard->store().seed() != record.seed) return std::nullopt;
     shard_tables.push_back(std::move(*shard));
     shard_seeds.push_back(record.seed);
   }

@@ -52,13 +52,14 @@ std::optional<SwissTable<K, V>> LoadSwissTableFromFile(
 // --- sharded snapshots ---
 // Container format: a sharded header (magic "SHTS2" + shard count), then
 // per shard a record {shard_index, seed} followed by an ordinary per-shard
-// table snapshot. Loading rebuilds a ShardedTable with every shard's hash
-// family and router position intact.
+// table snapshot. Loading reads each shard single-threaded, then moves it
+// into a seqlocked ShardedTable shard with its hash family and router
+// position intact.
 //
 // Rejected with an empty optional: bad magic, a zero or absurd shard count,
 // shard records out of sequence, a corrupt embedded snapshot, or a shard
-// whose stored hash multipliers do not match its recorded seed (the router
-// would silently misroute keys if such a snapshot were accepted).
+// whose stored hash multipliers or seed do not match its recorded seed (the
+// router would silently misroute keys if such a snapshot were accepted).
 template <typename K, typename V>
 bool SaveShardedTable(const ShardedTable<K, V>& table, std::ostream& out);
 template <typename K, typename V>

@@ -1,13 +1,13 @@
 // TableStore: the one storage layer under every table family.
 //
-// Before this layer existed, CuckooTable, ConcurrentCuckooTable and
-// Memc3Table each reimplemented bucket-arena allocation, (N, m) shape
-// resolution, striped seqlock versions and TableView construction. The
-// kernels were already layout-generic (any kernel probes any TableView), so
-// the storage underneath is hoisted here exactly once and the table classes
-// become policy wrappers: they decide *what* to write (insert/eviction
-// discipline), TableStore decides *where bytes live* and how readers
-// validate them.
+// Every table family — CuckooTable under either writer policy, Memc3Table
+// and SwissTable — sits on this one storage layer: bucket-arena
+// allocation, (N, m) shape resolution, striped seqlock versions and
+// TableView construction live here exactly once. The kernels are
+// layout-generic (any kernel probes any TableView), so the table classes
+// are policy wrappers: they decide *what* to write (insert/eviction
+// discipline, and whether writes publish through the seqlock), TableStore
+// decides *where bytes live* and how readers validate them.
 //
 // A store resolves a TableShape (validated layout + power-of-two bucket
 // count + bucket stride), owns the aligned/hugepage bucket arena

@@ -332,7 +332,7 @@ std::size_t SimdBackend::MultiGet(const std::vector<std::string_view>& keys,
       // Stash attribution: a hit whose hash key currently sits in the
       // shard's overflow stash was served by the stash post-pass, not a
       // bucket probe. Racy-read tolerant (monitoring only).
-      const TableStore& store = table_->shard(s).table().store();
+      const TableStore& store = table_->shard(s).store();
       const unsigned stash_n = store.stash_count();
       for (unsigned e = 0; e < stash_n; ++e) {
         if (store.stash_at(e).key == hash_keys[i]) {

@@ -39,9 +39,11 @@ class SimdBackend : public KvBackend {
     unsigned width_bits = 256;
     std::string display_name;  // e.g. "Bucket-Cuckoo-Hor(AVX-256)"
     // Prefetch schedule for the Multi-Get index lookup (stage 2). Multi-Get
-    // batches are the textbook case for hiding index-table DRAM latency;
-    // AMAC fuses into a per-key interleave on the scalar twin and degrades
-    // to a windowed slice schedule on SIMD kernels.
+    // batches are the textbook case for hiding index-table DRAM latency.
+    // Under kGroup or kAmac the horizontal kernels prefetch group_size keys
+    // ahead inside their own compare loop and the scalar twin fuses AMAC
+    // into a per-key interleave; the vertical kernels take a windowed slice
+    // schedule (see simd/pipeline.h).
     PipelineConfig pipeline{PrefetchPolicy::kAmac, /*group_size=*/32,
                             /*amac_groups=*/4};
   };

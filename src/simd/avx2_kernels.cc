@@ -161,9 +161,8 @@ std::uint64_t VerAvx2K32(const TableView& view, const ProbeBatch& batch) {
     for (unsigned way = 0; way < ways && !hit; ++way) {
       const std::uint32_t b = view.hash.Bucket32(way, key);
       for (unsigned s = 0; s < m; ++s) {
-        std::uint64_t pair;
-        std::memcpy(&pair, base + (static_cast<std::uint64_t>(b) * m + s),
-                    8);
+        const std::uint64_t pair =
+            LoadArenaWord(base + (static_cast<std::uint64_t>(b) * m + s));
         if (static_cast<std::uint32_t>(pair) == key) {
           value = static_cast<std::uint32_t>(pair >> 32);
           hit = 1;
@@ -248,10 +247,8 @@ std::uint64_t VerAvx2K64(const TableView& view, const ProbeBatch& batch) {
       for (unsigned s = 0; s < m; ++s) {
         const std::uint64_t word =
             static_cast<std::uint64_t>(b) * m + s;
-        std::uint64_t stored;
-        std::memcpy(&stored, base + 2 * word, 8);
-        if (stored == key) {
-          std::memcpy(&value, base + 2 * word + 1, 8);
+        if (LoadArenaWord(base + 2 * word) == key) {
+          value = LoadArenaWord(base + 2 * word + 1);
           hit = 1;
           break;
         }

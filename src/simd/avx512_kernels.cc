@@ -141,10 +141,8 @@ std::uint64_t VerAvx512K32(const TableView& view, const ProbeBatch& batch) {
     for (unsigned way = 0; way < ways && !hit; ++way) {
       const std::uint32_t b = view.hash.Bucket32(way, key);
       for (unsigned s = 0; s < m; ++s) {
-        std::uint64_t pair;
-        std::memcpy(&pair,
-                    view.data + (static_cast<std::uint64_t>(b) * m + s) * 8,
-                    8);
+        const std::uint64_t pair = LoadArenaWord(
+            view.data + (static_cast<std::uint64_t>(b) * m + s) * 8);
         if (static_cast<std::uint32_t>(pair) == key) {
           value = static_cast<std::uint32_t>(pair >> 32);
           hit = 1;
@@ -222,10 +220,8 @@ std::uint64_t VerAvx512K64(const TableView& view, const ProbeBatch& batch) {
       const std::uint32_t b = view.hash.Bucket64(way, key);
       for (unsigned s = 0; s < m; ++s) {
         const std::uint64_t word = (static_cast<std::uint64_t>(b) * m + s) * 2;
-        std::uint64_t stored;
-        std::memcpy(&stored, view.data + word * 8, 8);
-        if (stored == key) {
-          std::memcpy(&value, view.data + (word + 1) * 8, 8);
+        if (LoadArenaWord(view.data + word * 8) == key) {
+          value = LoadArenaWord(view.data + (word + 1) * 8);
           hit = 1;
           break;
         }

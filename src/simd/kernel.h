@@ -24,9 +24,11 @@
 #define SIMDHT_SIMD_KERNEL_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/compiler.h"
 #include "common/cpu_features.h"
 #include "ht/layout.h"
 
@@ -47,6 +49,17 @@ struct ProbeBatchStats {
 
   void Reset() { *this = ProbeBatchStats{}; }
 };
+
+// One 8-byte bucket-arena load, for the vertical kernels' scalar tails.
+// Batched readers of a seqlocked table race writers by design — a rebuild
+// copies the whole arena under them — and discard any batch whose write
+// epoch moved, so the result of this read is validated (see
+// common/compiler.h for the SIMDHT_NO_TSAN rule).
+SIMDHT_NO_TSAN inline std::uint64_t LoadArenaWord(const void* p) {
+  std::uint64_t word;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
 
 // One batched probe request: n keys in, n values and n found bytes out.
 // Non-owning view; the caller keeps the spans alive for the call.

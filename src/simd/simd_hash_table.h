@@ -13,11 +13,13 @@
 //
 // Options are validated up front: an unsupported (ways, slots, layout,
 // key/value width) combination throws std::invalid_argument naming the rule
-// it broke — it never silently degrades. With Options::shards > 1 the
-// storage becomes a ShardedTable (P concurrent shards, writer lock and
-// seqlock stripes per shard); BatchGet then partitions each batch by shard
-// and runs the same kernel per shard, and single-key writes become safe to
-// race with readers.
+// it broke — it never silently degrades. The table's writer policy follows
+// from its storage: one shard is a single-writer CuckooTable, whose writes
+// publish nothing; with Options::shards > 1 the storage becomes a
+// ShardedTable of seqlocked shards (ConcurrentCuckooTable: writer lock,
+// seqlock stripes and write epoch per shard). BatchGet then partitions each
+// batch by shard and runs the same kernel per shard, and single-key writes
+// become safe to race with readers.
 #ifndef SIMDHT_SIMD_SIMD_HASH_TABLE_H_
 #define SIMDHT_SIMD_SIMD_HASH_TABLE_H_
 
@@ -60,9 +62,9 @@ class SimdHashTable {
     BucketLayout layout = sizeof(K) == sizeof(V) ? BucketLayout::kInterleaved
                                                  : BucketLayout::kSplit;
     std::uint64_t seed = 0;
-    // 1 = a single plain CuckooTable (single-writer). >1 = that many
-    // independent concurrent shards; writes lock per shard and batched
-    // lookups partition by shard.
+    // 1 = one single-writer CuckooTable. >1 = that many independent
+    // seqlocked shards; writes lock per shard and batched lookups partition
+    // by shard.
     unsigned shards = 1;
     // Force a specific kernel by registry name; empty = auto-select the
     // widest viable design the CPU supports.

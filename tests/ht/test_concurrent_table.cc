@@ -1,15 +1,19 @@
-// ConcurrentCuckooTable: single-threaded semantics plus reader/writer and
-// batch-lookup/writer race tests.
+// ConcurrentCuckooTable (CuckooTable's SeqlockWriters policy):
+// single-threaded semantics, the seqlock counters each writer policy
+// publishes, and reader/writer and batch-lookup/writer race tests.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "common/cpu_features.h"
 #include "common/random.h"
-#include "ht/concurrent_table.h"
+#include "ht/cuckoo_table.h"
 #include "simd/kernel.h"
 
 namespace simdht {
@@ -70,6 +74,239 @@ TEST(ConcurrentTable, N3Layout64Bit) {
     ASSERT_TRUE(table.Find(key, &val));
     ASSERT_EQ(val, key * 3);
   }
+}
+
+// --- what each writer policy publishes -------------------------------------
+
+// Every counter a table publishes through: the write epoch, StashVersion and
+// all bucket stripes.
+struct SeqlockCounters {
+  std::uint64_t epoch = 0;
+  std::uint64_t stash = 0;
+  std::vector<std::uint64_t> stripes;
+
+  static SeqlockCounters Of(const TableStore& store) {
+    SeqlockCounters c;
+    c.epoch = store.EpochBegin();
+    c.stash = store.StashVersion().load();
+    for (unsigned i = 0; i < TableStore::kVersionStripes; ++i) {
+      c.stripes.push_back(store.StripeFor(i).load());
+    }
+    return c;
+  }
+};
+
+// How far one write advances each counter under SeqlockWriters.
+struct Publication {
+  std::uint64_t epoch = 0;
+  std::uint64_t stash = 0;
+  std::uint64_t every_stripe = 0;
+  std::map<std::uint64_t, std::uint64_t> stripes;  // stripe -> advance
+
+  Publication& Bracket(std::uint64_t bucket) {
+    stripes[bucket & (TableStore::kVersionStripes - 1)] += 2;
+    return *this;
+  }
+};
+
+// A structural write: the epoch around a slot write in one bucket.
+Publication EpochAndBucket(std::uint64_t bucket) {
+  Publication p;
+  p.epoch = 2;
+  return p.Bracket(bucket);
+}
+
+// An insert that replays `path`: the epoch around the whole chain, both
+// buckets of every hop, then the key's own bucket.
+Publication AlongPath(const std::vector<PathStep>& path) {
+  Publication p;
+  p.epoch = 2;
+  for (std::size_t i = path.size() - 1; i > 0; --i) {
+    p.Bracket(path[i].bucket).Bracket(path[i - 1].bucket);
+  }
+  return p.Bracket(path.front().bucket);
+}
+
+// Checks after each write what the table published: nothing at all under
+// SingleWriter, exactly the expected advance (ending even) under
+// SeqlockWriters.
+template <typename Table>
+class PublicationChecker {
+ public:
+  static constexpr bool kSeqlocked =
+      std::is_same_v<Table, ConcurrentCuckooTable32>;
+
+  explicit PublicationChecker(const Table& table)
+      : table_(table), expected_(SeqlockCounters::Of(table.store())) {}
+
+  void Expect(const std::string& what, const Publication& want) {
+    if constexpr (kSeqlocked) {
+      expected_.epoch += want.epoch;
+      expected_.stash += want.stash;
+      for (auto& v : expected_.stripes) v += want.every_stripe;
+      for (const auto& [stripe, advance] : want.stripes) {
+        expected_.stripes[stripe] += advance;
+      }
+    }
+    const SeqlockCounters now = SeqlockCounters::Of(table_.store());
+    EXPECT_EQ(now.epoch, expected_.epoch) << what << ": write epoch";
+    EXPECT_EQ(now.stash, expected_.stash) << what << ": StashVersion";
+    unsigned wrong = 0, odd = 0;
+    for (unsigned i = 0; i < TableStore::kVersionStripes; ++i) {
+      wrong += now.stripes[i] != expected_.stripes[i];
+      odd += now.stripes[i] & 1;
+    }
+    EXPECT_EQ(wrong, 0u) << what << ": stripes off their expected value";
+    EXPECT_EQ(odd, 0u) << what << ": stripes left odd";
+    EXPECT_EQ(now.epoch & 1, 0u) << what;
+    EXPECT_EQ(now.stash & 1, 0u) << what;
+    expected_ = now;  // report each write's mistake once
+  }
+
+ private:
+  const Table& table_;
+  SeqlockCounters expected_;
+};
+
+std::uint32_t FreshKey(std::uint32_t i) {
+  return static_cast<std::uint32_t>((i + 1) * 2654435761u) | 1;
+}
+
+template <typename Table>
+std::uint64_t BucketHolding(const Table& table, std::uint32_t key) {
+  for (unsigned w = 0; w < table.spec().ways; ++w) {
+    const std::uint64_t b = table.store().template Bucket<std::uint32_t>(w, key);
+    for (unsigned s = 0; s < table.spec().slots; ++s) {
+      if (table.KeyAt(b, s) == key) return b;
+    }
+  }
+  ADD_FAILURE() << "key " << key << " is in no bucket";
+  return 0;
+}
+
+// Drives one write of every kind through a fresh table of type `Table`.
+template <typename Table>
+void DriveEveryWriteKind() {
+  std::uint32_t next = 0;
+  {
+    Table table(2, 4, 256, BucketLayout::kInterleaved, 3);
+    PublicationChecker<Table> check(table);
+    std::vector<PathStep> path;
+
+    const std::uint32_t first = FreshKey(next++);
+    ASSERT_TRUE(table.FindInsertionPath(first, &path));
+    ASSERT_EQ(path.size(), 1u);
+    ASSERT_TRUE(table.Insert(first, 1));
+    check.Expect("direct insert", AlongPath(path));
+
+    ASSERT_TRUE(table.Insert(first, 2));
+    check.Expect("duplicate overwrite", EpochAndBucket(
+                                            BucketHolding(table, first)));
+
+    // A light batch: every fresh key lands directly, plus one duplicate.
+    std::vector<std::uint32_t> keys;
+    for (int i = 0; i < 200; ++i) keys.push_back(FreshKey(next++));
+    keys.push_back(first);
+    const std::vector<std::uint32_t> vals(keys.size(), 5);
+    const InsertStats before = table.insert_stats();
+    table.BatchInsert(MutationBatch<std::uint32_t, std::uint32_t>::Of(
+        keys.data(), vals.data(), nullptr, keys.size()));
+    ASSERT_EQ(table.insert_stats().direct_inserts - before.direct_inserts,
+              200u);
+    ASSERT_EQ(table.insert_stats().path_inserts, before.path_inserts);
+    Publication batch;
+    for (std::uint32_t k : keys) {
+      batch.epoch += 2;
+      batch.Bracket(BucketHolding(table, k));
+    }
+    check.Expect("BatchInsert", batch);
+
+    // Keep inserting one key at a time until one needs an eviction chain.
+    bool saw_path = false;
+    while (!saw_path && table.load_factor() < 0.97) {
+      const std::uint32_t k = FreshKey(next++);
+      ASSERT_TRUE(table.FindInsertionPath(k, &path));
+      ASSERT_TRUE(table.Insert(k, 7));
+      saw_path = path.size() > 1;
+      check.Expect(saw_path ? "path insert" : "direct insert",
+                   AlongPath(path));
+    }
+    ASSERT_TRUE(saw_path);
+
+    std::vector<std::uint32_t> updates(keys.begin(), keys.begin() + 50);
+    updates.push_back(0x7FFFFFFEu);  // never inserted
+    const std::vector<std::uint32_t> new_vals(updates.size(), 9);
+    std::vector<std::uint8_t> ok(updates.size());
+    table.BatchUpdate(MutationBatch<std::uint32_t, std::uint32_t>::Of(
+        updates.data(), new_vals.data(), ok.data(), updates.size()));
+    ASSERT_EQ(ok.back(), 0);
+    Publication update;
+    for (std::size_t i = 0; i + 1 < updates.size(); ++i) {
+      ASSERT_EQ(ok[i], 1);
+      update.Bracket(BucketHolding(table, updates[i]));
+    }
+    check.Expect("BatchUpdate", update);
+
+    ASSERT_TRUE(table.UpdateValue(first, 11));
+    check.Expect("UpdateValue",
+                 Publication{}.Bracket(BucketHolding(table, first)));
+
+    const std::uint64_t home = BucketHolding(table, first);
+    ASSERT_TRUE(table.Erase(first));
+    check.Expect("bucket erase", EpochAndBucket(home));
+  }
+  {
+    // A (2,1) table saturates near half full: spills, then a rebuild.
+    Table table(2, 1, 256, BucketLayout::kInterleaved, 17);
+    PublicationChecker<Table> check(table);
+    std::vector<PathStep> path;
+    bool saw_spill = false, saw_rebuild = false;
+    for (int i = 0; i < 4000 && !(saw_rebuild && table.stash_count() > 0);
+         ++i) {
+      const std::uint32_t k = FreshKey(next++);
+      const bool has_path = table.FindInsertionPath(k, &path);
+      const InsertStats before = table.insert_stats();
+      table.Insert(k, 3);
+      const InsertStats& after = table.insert_stats();
+      if (after.rebuilds > before.rebuilds) {
+        saw_rebuild = true;
+        Publication rebuild;
+        rebuild.epoch = 2;
+        rebuild.stash = 2;
+        rebuild.every_stripe = 2;
+        check.Expect("rebuild", rebuild);
+      } else if (after.stash_inserts > before.stash_inserts) {
+        saw_spill = true;
+        check.Expect("stash spill", Publication{});
+      } else if (after.failed_inserts > before.failed_inserts) {
+        check.Expect("failed insert", Publication{});
+      } else {
+        ASSERT_TRUE(has_path);
+        check.Expect("insert", AlongPath(path));
+      }
+    }
+    ASSERT_TRUE(saw_spill);
+    ASSERT_TRUE(saw_rebuild);
+    ASSERT_GT(table.stash_count(), 0u);
+
+    const auto stashed =
+        static_cast<std::uint32_t>(table.store().stash_at(0).key);
+    ASSERT_TRUE(table.Erase(stashed));
+    Publication stash_erase;
+    stash_erase.epoch = 2;
+    stash_erase.stash = 2;
+    check.Expect("stash erase", stash_erase);
+  }
+}
+
+TEST(CuckooTable, SingleWriterPublishesNothing) {
+  DriveEveryWriteKind<CuckooTable32>();
+}
+
+// The parent-commit publication order, write by write: catches a bracket
+// the racing tests below would only trip over occasionally.
+TEST(ConcurrentTable, WritesPublishThroughSeqlock) {
+  DriveEveryWriteKind<ConcurrentCuckooTable32>();
 }
 
 // The headline property: readers racing full structural inserts (with BFS

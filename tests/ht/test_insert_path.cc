@@ -1,13 +1,12 @@
-// Insertion-engine behaviour: failed-insert unwind invariant, BFS vs walk
-// equivalence, stash visibility through every lookup path, rebuild recovery
-// and the empty-key sentinel guard.
+// Insertion-engine behaviour: failed-insert invariant, stash visibility
+// through every lookup path, rebuild recovery and the empty-key sentinel
+// guard.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
 #include "common/cpu_features.h"
-#include "ht/concurrent_table.h"
 #include "ht/cuckoo_table.h"
 #include "ht/sharded_table.h"
 #include "ht/table_builder.h"
@@ -17,14 +16,12 @@
 namespace simdht {
 namespace {
 
-// --- failed-insert unwind invariant ----------------------------------------
+// --- failed-insert invariant ------------------------------------------------
 
 // With the stash and rebuild tiers disabled, a failed Insert must leave the
-// bucket arena bit-identical — under both policies (BFS searches read-only;
-// the walk unwinds its kicks).
-void VerifyFailedInsertsAreInvisible(InsertPolicy policy) {
+// bucket arena bit-identical (the BFS search is read-only).
+TEST(InsertPath, FailedBfsInsertLeavesTableBitIdentical) {
   CuckooTable32 table(2, 1, 256, BucketLayout::kInterleaved, 12);
-  table.set_insert_policy(policy);
   table.set_stash_capacity(0);
   table.set_rebuild_enabled(false);
 
@@ -36,53 +33,14 @@ void VerifyFailedInsertsAreInvisible(InsertPolicy policy) {
     std::memcpy(snapshot.data(), table.raw_data(), snapshot.size());
     if (table.Insert(k, k * 3u)) continue;
     ++failures;
-    EXPECT_EQ(table.size(), size_before) << InsertPolicyName(policy);
+    EXPECT_EQ(table.size(), size_before);
     ASSERT_EQ(std::memcmp(snapshot.data(), table.raw_data(),
                           snapshot.size()),
               0)
-        << InsertPolicyName(policy) << ": failed insert mutated the arena";
+        << "failed insert mutated the arena";
   }
   // 512 keys into 256 2-way slots guarantees the saturation regime.
   EXPECT_GT(failures, 0u);
-}
-
-TEST(InsertPath, FailedBfsInsertLeavesTableBitIdentical) {
-  VerifyFailedInsertsAreInvisible(InsertPolicy::kBfs);
-}
-
-TEST(InsertPath, FailedWalkInsertLeavesTableBitIdentical) {
-  VerifyFailedInsertsAreInvisible(InsertPolicy::kRandomWalk);
-}
-
-// --- BFS vs walk equivalence ------------------------------------------------
-
-// Both policies must produce tables that serve the same key set the same
-// way (placement differs; lookup results may not).
-TEST(InsertPath, BfsAndWalkServeIdenticalKeySets) {
-  CuckooTable32 bfs(2, 4, 1024, BucketLayout::kInterleaved, 5);
-  CuckooTable32 walk(2, 4, 1024, BucketLayout::kInterleaved, 5);
-  bfs.set_insert_policy(InsertPolicy::kBfs);
-  walk.set_insert_policy(InsertPolicy::kRandomWalk);
-
-  const auto keys = UniqueRandomKeys<std::uint32_t>(3500, 21);  // LF ~0.85
-  for (auto k : keys) {
-    ASSERT_TRUE(bfs.Insert(k, k + 7u));
-    ASSERT_TRUE(walk.Insert(k, k + 7u));
-  }
-  EXPECT_EQ(bfs.size(), walk.size());
-
-  const auto misses = UniqueRandomKeys<std::uint32_t>(500, 22, &keys);
-  for (auto k : keys) {
-    std::uint32_t a = 0, b = 0;
-    ASSERT_TRUE(bfs.Find(k, &a));
-    ASSERT_TRUE(walk.Find(k, &b));
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(a, k + 7u);
-  }
-  for (auto k : misses) {
-    EXPECT_FALSE(bfs.Find(k, nullptr));
-    EXPECT_FALSE(walk.Find(k, nullptr));
-  }
 }
 
 // --- stash visibility -------------------------------------------------------

@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "ht/concurrent_table.h"
 #include "ht/cuckoo_table.h"
 #include "ht/memc3_table.h"
 #include "ht/mutation.h"
@@ -58,7 +57,6 @@ void ExpectSameCuckooState(const Table& scalar, const Table& batch) {
   EXPECT_EQ(a.direct_inserts, b.direct_inserts);
   EXPECT_EQ(a.path_inserts, b.path_inserts);
   EXPECT_EQ(a.path_moves, b.path_moves);
-  EXPECT_EQ(a.walk_kicks, b.walk_kicks);
   EXPECT_EQ(a.stash_inserts, b.stash_inserts);
   EXPECT_EQ(a.rebuilds, b.rebuilds);
   EXPECT_EQ(a.failed_inserts, b.failed_inserts);
@@ -163,12 +161,9 @@ TEST(MutationKernels, SwissGroupScansAgreeWithScalar) {
 
 template <typename K, typename V>
 void CheckCuckooBatchEquivalence(unsigned ways, unsigned slots,
-                                 BucketLayout layout, InsertPolicy policy,
-                                 double fill) {
+                                 BucketLayout layout, double fill) {
   CuckooTable<K, V> scalar(ways, slots, 512, layout, /*seed=*/11);
   CuckooTable<K, V> batch(ways, slots, 512, layout, /*seed=*/11);
-  scalar.set_insert_policy(policy);
-  batch.set_insert_policy(policy);
   const auto n = static_cast<std::size_t>(
       static_cast<double>(scalar.capacity()) * fill);
   auto keys = MakeKeys<K>(n);
@@ -204,22 +199,13 @@ void CheckCuckooBatchEquivalence(unsigned ways, unsigned slots,
 
 TEST(MutationBatch, CuckooBfsEquivalence) {
   CheckCuckooBatchEquivalence<std::uint32_t, std::uint32_t>(
-      2, 4, BucketLayout::kInterleaved, InsertPolicy::kBfs, 0.92);
+      2, 4, BucketLayout::kInterleaved, 0.92);
   CheckCuckooBatchEquivalence<std::uint64_t, std::uint64_t>(
-      2, 4, BucketLayout::kInterleaved, InsertPolicy::kBfs, 0.92);
+      2, 4, BucketLayout::kInterleaved, 0.92);
   CheckCuckooBatchEquivalence<std::uint64_t, std::uint64_t>(
-      3, 1, BucketLayout::kSplit, InsertPolicy::kBfs, 0.85);
+      3, 1, BucketLayout::kSplit, 0.85);
   CheckCuckooBatchEquivalence<std::uint16_t, std::uint32_t>(
-      2, 8, BucketLayout::kSplit, InsertPolicy::kBfs, 0.9);
-}
-
-TEST(MutationBatch, CuckooRandomWalkEquivalence) {
-  // The fast path must consume no RNG state, so the walk policy's kick
-  // sequence — and therefore the final table bytes — stay identical.
-  CheckCuckooBatchEquivalence<std::uint32_t, std::uint32_t>(
-      2, 4, BucketLayout::kInterleaved, InsertPolicy::kRandomWalk, 0.9);
-  CheckCuckooBatchEquivalence<std::uint64_t, std::uint64_t>(
-      3, 1, BucketLayout::kSplit, InsertPolicy::kRandomWalk, 0.8);
+      2, 8, BucketLayout::kSplit, 0.9);
 }
 
 TEST(MutationBatch, RejectsZeroKeysWithoutStateChange) {
@@ -405,8 +391,8 @@ TEST(ShardedBatchMutation, MatchesPerKeyRouting) {
   EXPECT_EQ(want_ok, got_ok);
   ASSERT_EQ(scalar.size(), batch.size());
   for (unsigned s = 0; s < scalar.num_shards(); ++s) {
-    const CuckooTable32& st = scalar.shard(s).table();
-    const CuckooTable32& bt = batch.shard(s).table();
+    const ConcurrentCuckooTable32& st = scalar.shard(s);
+    const ConcurrentCuckooTable32& bt = batch.shard(s);
     ASSERT_EQ(st.size(), bt.size()) << "shard " << s;
     EXPECT_EQ(std::memcmp(st.raw_data(), bt.raw_data(), st.table_bytes()), 0)
         << "shard " << s;
@@ -427,8 +413,8 @@ TEST(ShardedBatchMutation, MatchesPerKeyRouting) {
       keys.data(), vals2.data(), got_ok.data(), n));
   EXPECT_EQ(want_ok, got_ok);
   for (unsigned s = 0; s < scalar.num_shards(); ++s) {
-    const CuckooTable32& st = scalar.shard(s).table();
-    const CuckooTable32& bt = batch.shard(s).table();
+    const ConcurrentCuckooTable32& st = scalar.shard(s);
+    const ConcurrentCuckooTable32& bt = batch.shard(s);
     EXPECT_EQ(std::memcmp(st.raw_data(), bt.raw_data(), st.table_bytes()), 0)
         << "shard " << s;
   }
@@ -450,7 +436,7 @@ TEST(ConcurrentBatchMutation, MatchesScalarSingleThreaded) {
   batch.BatchInsert(MutationBatch<std::uint32_t, std::uint32_t>::Of(
       keys.data(), vals.data(), got_ok.data(), n));
   EXPECT_EQ(want_ok, got_ok);
-  ExpectSameCuckooState(scalar.table(), batch.table());
+  ExpectSameCuckooState(scalar, batch);
 
   auto vals2 = vals;
   for (auto& v : vals2) v += 3;
@@ -460,7 +446,7 @@ TEST(ConcurrentBatchMutation, MatchesScalarSingleThreaded) {
   batch.BatchUpdate(MutationBatch<std::uint32_t, std::uint32_t>::Of(
       keys.data(), vals2.data(), got_ok.data(), n));
   EXPECT_EQ(want_ok, got_ok);
-  ExpectSameCuckooState(scalar.table(), batch.table());
+  ExpectSameCuckooState(scalar, batch);
 }
 
 TEST(ConcurrentBatchMutation, ReadersDuringBatchInsert) {

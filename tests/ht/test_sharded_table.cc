@@ -69,6 +69,11 @@ TEST(ShardedTable, AdoptionRejectsMismatchedSeeds) {
   EXPECT_THROW(ShardedTable32(std::move(tables), {7, 8}),
                std::invalid_argument);
   EXPECT_THROW(ShardedTable32({}, {}), std::invalid_argument);
+  // A table whose store carries another seed than the one recorded for it.
+  std::vector<CuckooTable32> reseeded;
+  reseeded.emplace_back(2, 4, 64, BucketLayout::kInterleaved, 7);
+  EXPECT_THROW(ShardedTable32(std::move(reseeded), {8}),
+               std::invalid_argument);
 }
 
 TEST(ShardedTable, RoutedOperationsLandInPredictedShard) {
@@ -132,7 +137,7 @@ TEST(ShardedTable, OneShardMatchesUnshardedBitForBit) {
   ASSERT_EQ(sharded.num_shards(), 1u);
   EXPECT_EQ(sharded.shard_seed(0), seed);
   EXPECT_EQ(std::memcmp(unsharded.raw_data(),
-                        sharded.shard(0).table().raw_data(),
+                        sharded.shard(0).raw_data(),
                         unsharded.table_bytes()),
             0);
 

@@ -248,8 +248,8 @@ TEST(TableIo, ShardedRoundTripPreservesEverything) {
   EXPECT_EQ(loaded->size(), original.size());
   for (unsigned s = 0; s < 4; ++s) {
     EXPECT_EQ(loaded->shard_seed(s), original.shard_seed(s)) << s;
-    const CuckooTable32& a = original.shard(s).table();
-    const CuckooTable32& b = loaded->shard(s).table();
+    const ConcurrentCuckooTable32& a = original.shard(s);
+    const ConcurrentCuckooTable32& b = loaded->shard(s);
     ASSERT_EQ(a.table_bytes(), b.table_bytes()) << s;
     EXPECT_EQ(std::memcmp(a.raw_data(), b.raw_data(), a.table_bytes()), 0)
         << s;

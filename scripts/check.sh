@@ -22,12 +22,17 @@ for preset in "${presets[@]}"; do
   cmake --build --preset "${preset}" -j "${jobs}"
   ctest --preset "${preset}"
   if [ "${preset}" = "default" ]; then
+    # Object-code guard: every batched cuckoo write keeps its prefetches and
+    # every AVX2 mutation scan clears the YMM upper state before it exits.
+    echo "=== codegen guard ==="
+    scripts/check_codegen.sh build
     # Insertion-engine regression gate: BFS must keep (4,8) BCHT at >= 0.95
     # max load factor and (2,1) cuckoo inside the theoretical band.
     echo "=== insertion-engine max-LF gate ==="
     ./build/bench/micro_insert_path --quick --check
-    # Batched-write gate: BatchInsert must leave byte-identical state to
-    # the scalar loop and beat it >= 1.5x on the 64 MiB cuckoo table.
+    # Batched-write gate: BatchInsert (cuckoo, Swiss) and the cuckoo
+    # BatchUpdate must leave byte-identical state to the scalar loops, and
+    # the cuckoo BatchInsert must beat its loop >= 1.5x on the 64 MiB table.
     echo "=== batched-write engine gate ==="
     ./build/bench/micro_insert_path --engine=batch --full --check
     # Kernel parity gate: every SIMD kernel (cuckoo and Swiss families,

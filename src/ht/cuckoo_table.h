@@ -99,7 +99,7 @@ class CuckooTable {
   explicit CuckooTable(CuckooTable<K, V>&& built)
     requires kSeqlock
       : store_(std::move(built.store_)),
-        mutation_kernel_(built.mutation_kernel_),
+        cuckoo_scan_(built.cuckoo_scan_),
         stats_(built.stats_),
         rebuild_enabled_(built.rebuild_enabled_),
         rebuild_blocked_size_(built.rebuild_blocked_size_) {}
@@ -115,14 +115,17 @@ class CuckooTable {
   // Batched mutation surface (ht/mutation.h). Bit-identical to calling
   // Insert(keys[i], vals[i]) in batch order — same table bytes, stash,
   // stats and ok results, and under SeqlockWriters the same publication
-  // per key — but the chunk is block-hashed, its candidate buckets
-  // write-prefetched, and each bucket SIMD-scanned once for both the
-  // duplicate and the first empty slot. Only keys whose candidates are all
-  // full fall back to the scalar core. Seqlocked tables take the writer
-  // mutex once for the whole batch.
+  // per key — but keys are block-hashed a tile at a time, key i +
+  // kCuckooWritePrefetchDistance's candidate buckets are prefetched right
+  // before key i is scanned, and one mutation-kernel call scans all of key
+  // i's candidates for both the duplicate and the first empty slot. Only
+  // keys whose candidates are all full fall back to the scalar core; when
+  // that core reseeds (rebuild recovery), every candidate already hashed is
+  // hashed again. Seqlocked tables take the writer mutex once per batch.
   void BatchInsert(const MutationBatch<K, V>& batch);
 
-  // Batched UpdateValue: ok[i] = key present (value overwritten in place).
+  // Batched UpdateValue on BatchInsert's schedule: ok[i] = key present
+  // (value overwritten in place).
   void BatchUpdate(const MutationBatch<K, V>& batch);
 
   // Scalar reference lookup (the paper's "Scalar" baseline inner step).
@@ -294,6 +297,16 @@ class CuckooTable {
   std::optional<CuckooTable<K, V>> BuildRecoveryTable(K key, V val);
   void AdoptRebuilt(const CuckooTable<K, V>& staging);
 
+  // Candidate ring of the batched writes: two kMutationChunk tiles, key i's
+  // candidates at ring[i % kWriteRing * ways]. The next tile is hashed when
+  // a tile starts, so the prefetched key is always hashed already.
+  static constexpr std::size_t kWriteRing = 2 * kMutationChunk;
+
+  // Block-hashes keys[from, to) into the ring; the range lies in one tile.
+  SIMDHT_ALWAYS_INLINE void HashIntoRing(const K* keys, std::size_t from,
+                                         std::size_t to,
+                                         std::uint32_t* ring) const;
+
   // Seqlock steps; each compiles to nothing under SingleWriter.
   void EpochEnter() {
     if constexpr (kSeqlock) store_.EpochEnterWrite();
@@ -319,7 +332,7 @@ class CuckooTable {
   }
 
   TableStore store_;
-  const MutationKernel* mutation_kernel_;
+  CuckooScanFn cuckoo_scan_;
   PathSearchScratch scratch_;
   std::vector<PathStep> path_;
   InsertStats stats_;

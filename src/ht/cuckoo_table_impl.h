@@ -70,7 +70,8 @@ CuckooTable<K, V, W>::CuckooTable(unsigned ways, unsigned slots,
     : store_(TableShape::For(detail::SpecFor<K, V>(ways, slots, layout),
                             num_buckets),
              seed),
-      mutation_kernel_(MutationRegistry::Get().ForCuckoo(store_.spec())) {}
+      cuckoo_scan_(
+          MutationRegistry::Get().ForCuckoo()->cuckoo_scan_for(store_.spec())) {}
 
 template <typename K, typename V, typename W>
 bool CuckooTable<K, V, W>::Locate(K key, std::uint64_t* bucket,
@@ -369,92 +370,97 @@ bool CuckooTable<K, V, W>::InsertLocked(K key, V val) {
 }
 
 template <typename K, typename V, typename W>
+void CuckooTable<K, V, W>::HashIntoRing(const K* keys, std::size_t from,
+                                        std::size_t to,
+                                        std::uint32_t* ring) const {
+  const unsigned ways = store_.spec().ways;
+  BlockBuckets<K>(store_.hash(), ways, keys + from, to - from,
+                  ring + from % kWriteRing * ways);
+}
+
+template <typename K, typename V, typename W>
 void CuckooTable<K, V, W>::BatchInsert(const MutationBatch<K, V>& batch) {
   std::lock_guard lock(writer_mu_);
-  const unsigned ways = store_.spec().ways;
-  std::uint32_t buckets[kMutationChunk * kMaxWays];
-  for (std::size_t base = 0; base < batch.size; base += kMutationChunk) {
-    const std::size_t n = std::min(kMutationChunk, batch.size - base);
-    const K* keys = batch.keys + base;
-    const V* vals = batch.vals + base;
-    std::uint64_t chunk_seed = store_.seed();
-    TableView view = store_.view();
-    BlockBuckets<K>(store_.hash(), ways, keys, n, buckets);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (unsigned w = 0; w < ways; ++w) {
-        PrefetchBucketForWrite(view, buckets[i * ways + w]);
+  // Locals, not fields: the ok[] byte stores may alias anything, so fields
+  // read through `batch` or `this` would be reloaded on every key. The arena
+  // never moves (a rebuild copies into it), so data and stride stay valid.
+  const K* const keys = batch.keys;
+  const V* const vals = batch.vals;
+  std::uint8_t* const ok = batch.ok;
+  const std::size_t n = batch.size;
+  const CuckooScanFn scan = cuckoo_scan_;
+  TableView view = store_.view();
+  std::uint64_t seed = store_.seed();
+  const std::uint8_t* const data = view.data;
+  const std::size_t stride = view.spec.bucket_bytes();
+  const unsigned ways = view.spec.ways;
+  const unsigned slot_shift = Log2Floor(view.spec.slots);
+  const unsigned slot_mask = view.spec.slots - 1;
+  constexpr std::size_t d = kCuckooWritePrefetchDistance;
+
+  std::uint32_t ring[kWriteRing * kMaxWays];
+  HashIntoRing(keys, 0, std::min(n, kMutationChunk), ring);
+  for (std::size_t i = 0; i < std::min(n, d); ++i) {
+    PrefetchCandidatesForWrite(data, stride, ways, ring + i * ways);
+  }
+  for (std::size_t tile = 0; tile < n; tile += kMutationChunk) {
+    const std::size_t next = tile + kMutationChunk;
+    const std::size_t next_end = std::min(n, next + kMutationChunk);
+    if (next < n) HashIntoRing(keys, next, next_end, ring);
+    const std::size_t end = std::min(n, next);
+    for (std::size_t i = tile; i < end; ++i) {
+      if (i + d < n) {
+        PrefetchCandidatesForWrite(data, stride, ways,
+                                   ring + (i + d) % kWriteRing * ways);
       }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
       const K key = keys[i];
       std::uint8_t r = 1;
-      bool done = false;
       if (key == static_cast<K>(kEmptyKey)) {
         r = 0;
-        done = true;
-      }
-      // A scalar-core fallback can reseed (rebuild recovery); the rest of
-      // the chunk's block-hashed candidates are then stale. Seed-gate and
-      // re-hash the unprocessed tail.
-      if (!done && store_.seed() != chunk_seed) {
-        chunk_seed = store_.seed();
-        view = store_.view();
-        BlockBuckets<K>(store_.hash(), ways, keys + i, n - i,
-                        buckets + i * ways);
-      }
-      if (!done) {
-        const auto key_w = static_cast<std::uint64_t>(key);
-        int place_way = -1;
-        int place_slot = -1;
-        for (unsigned w = 0; w < ways; ++w) {
-          const std::uint32_t b = buckets[i * ways + w];
-          const BucketScan scan =
-              mutation_kernel_->bucket_scan(view, b, key_w);
-          if (scan.match_slot >= 0) {
-            // Duplicate: overwrite in place (cuckoo invariant — at most
-            // one copy), exactly where and how the scalar dup pass would.
-            EpochEnter();
-            StripeOdd(b);
-            store_.SetSlot(b, static_cast<unsigned>(scan.match_slot), key,
-                           vals[i]);
-            StripeEven(b);
-            EpochExit();
-            done = true;
-            break;
-          }
-          if (place_way < 0 && scan.empty_slot >= 0) {
-            place_way = static_cast<int>(w);
-            place_slot = scan.empty_slot;
-          }
-        }
-        if (!done) {
-          const int j = StashIndexOf(key);
-          if (j >= 0) {
-            store_.StashSetVal(static_cast<unsigned>(j),
-                               static_cast<std::uint64_t>(vals[i]));
-            done = true;
-          }
-        }
-        if (!done && place_way >= 0) {
-          // Direct insert: the first way with an empty slot, lowest slot —
-          // the placement (and publication) of a BFS path of length one.
-          const std::uint32_t b = buckets[i * ways + place_way];
+      } else {
+        const std::uint32_t* candidates = ring + i % kWriteRing * ways;
+        const CuckooScan hit = scan(view, candidates, key);
+        if (hit.match != 0) {
+          // Duplicate: overwrite in place (cuckoo invariant: at most one
+          // copy), exactly where and how the scalar duplicate pass would.
+          const unsigned lane = __builtin_ctz(hit.match);
+          const std::uint32_t b = candidates[lane >> slot_shift];
           EpochEnter();
           StripeOdd(b);
-          store_.SetSlot(b, static_cast<unsigned>(place_slot), key, vals[i]);
+          store_.SetSlot(b, lane & slot_mask, key, vals[i]);
+          StripeEven(b);
+          EpochExit();
+        } else if (const int j = StashIndexOf(key); j >= 0) {
+          store_.StashSetVal(static_cast<unsigned>(j),
+                             static_cast<std::uint64_t>(vals[i]));
+        } else if (hit.empty != 0) {
+          // Direct insert: the first way with an empty slot, lowest slot --
+          // the placement (and publication) of a BFS path of length one.
+          const unsigned lane = __builtin_ctz(hit.empty);
+          const std::uint32_t b = candidates[lane >> slot_shift];
+          EpochEnter();
+          StripeOdd(b);
+          store_.SetSlot(b, lane & slot_mask, key, vals[i]);
           StripeEven(b);
           store_.AdjustSize(1);
           ++stats_.direct_inserts;
           EpochExit();
-          done = true;
-        }
-        if (!done) {
+        } else {
           // Conflict tail: every candidate bucket is full. Run the scalar
           // core (eviction path / stash spill / rebuild recovery).
           r = InsertLocked(key, vals[i]) ? 1 : 0;
+          if (store_.seed() != seed) {
+            // A rebuild reseeded the hash family: every candidate hashed
+            // past key i is stale -- the rest of this tile, and the next
+            // tile when it has been hashed already.
+            seed = store_.seed();
+            view = store_.view();
+            HashIntoRing(keys, i + 1, end, ring);
+            if (next < n) HashIntoRing(keys, next, next_end, ring);
+          }
         }
       }
-      if (batch.ok != nullptr) batch.ok[base + i] = r;
+      if (ok != nullptr) ok[i] = r;
     }
   }
 }
@@ -462,46 +468,56 @@ void CuckooTable<K, V, W>::BatchInsert(const MutationBatch<K, V>& batch) {
 template <typename K, typename V, typename W>
 void CuckooTable<K, V, W>::BatchUpdate(const MutationBatch<K, V>& batch) {
   std::lock_guard lock(writer_mu_);
-  const unsigned ways = store_.spec().ways;
-  std::uint32_t buckets[kMutationChunk * kMaxWays];
-  for (std::size_t base = 0; base < batch.size; base += kMutationChunk) {
-    const std::size_t n = std::min(kMutationChunk, batch.size - base);
-    const K* keys = batch.keys + base;
-    const V* vals = batch.vals + base;
-    const TableView view = store_.view();
-    BlockBuckets<K>(store_.hash(), ways, keys, n, buckets);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (unsigned w = 0; w < ways; ++w) {
-        PrefetchBucketForWrite(view, buckets[i * ways + w]);
-      }
+  // The schedule and locals of BatchInsert; updates never reseed.
+  const K* const keys = batch.keys;
+  const V* const vals = batch.vals;
+  std::uint8_t* const ok = batch.ok;
+  const std::size_t n = batch.size;
+  const CuckooScanFn scan = cuckoo_scan_;
+  const TableView view = store_.view();
+  const std::uint8_t* const data = view.data;
+  const std::size_t stride = view.spec.bucket_bytes();
+  const unsigned ways = view.spec.ways;
+  const unsigned slot_shift = Log2Floor(view.spec.slots);
+  const unsigned slot_mask = view.spec.slots - 1;
+  constexpr std::size_t d = kCuckooWritePrefetchDistance;
+
+  std::uint32_t ring[kWriteRing * kMaxWays];
+  HashIntoRing(keys, 0, std::min(n, kMutationChunk), ring);
+  for (std::size_t i = 0; i < std::min(n, d); ++i) {
+    PrefetchCandidatesForWrite(data, stride, ways, ring + i * ways);
+  }
+  for (std::size_t tile = 0; tile < n; tile += kMutationChunk) {
+    const std::size_t next = tile + kMutationChunk;
+    if (next < n) {
+      HashIntoRing(keys, next, std::min(n, next + kMutationChunk), ring);
     }
-    for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t end = std::min(n, next);
+    for (std::size_t i = tile; i < end; ++i) {
+      if (i + d < n) {
+        PrefetchCandidatesForWrite(data, stride, ways,
+                                   ring + (i + d) % kWriteRing * ways);
+      }
       const K key = keys[i];
       std::uint8_t r = 0;
       if (key != static_cast<K>(kEmptyKey)) {
-        const auto key_w = static_cast<std::uint64_t>(key);
-        for (unsigned w = 0; w < ways && r == 0; ++w) {
-          const std::uint32_t b = buckets[i * ways + w];
-          const BucketScan scan =
-              mutation_kernel_->bucket_scan(view, b, key_w);
-          if (scan.match_slot >= 0) {
-            // The same stripe bracket (no epoch) as the per-key UpdateValue.
-            StripeOdd(b);
-            store_.SetVal(b, static_cast<unsigned>(scan.match_slot), vals[i]);
-            StripeEven(b);
-            r = 1;
-          }
-        }
-        if (r == 0) {
-          const int j = StashIndexOf(key);
-          if (j >= 0) {
-            store_.StashSetVal(static_cast<unsigned>(j),
-                               static_cast<std::uint64_t>(vals[i]));
-            r = 1;
-          }
+        const std::uint32_t* candidates = ring + i % kWriteRing * ways;
+        const std::uint32_t match = scan(view, candidates, key).match;
+        if (match != 0) {
+          // The same stripe bracket (no epoch) as the per-key UpdateValue.
+          const unsigned lane = __builtin_ctz(match);
+          const std::uint32_t b = candidates[lane >> slot_shift];
+          StripeOdd(b);
+          store_.SetVal(b, lane & slot_mask, vals[i]);
+          StripeEven(b);
+          r = 1;
+        } else if (const int j = StashIndexOf(key); j >= 0) {
+          store_.StashSetVal(static_cast<unsigned>(j),
+                             static_cast<std::uint64_t>(vals[i]));
+          r = 1;
         }
       }
-      if (batch.ok != nullptr) batch.ok[base + i] = r;
+      if (ok != nullptr) ok[i] = r;
     }
   }
 }

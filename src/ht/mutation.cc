@@ -6,23 +6,37 @@ namespace simdht {
 
 namespace {
 
-// Scalar twins: locate keys through the TableView accessors, so one
-// template serves both bucket layouts and every value width.
+// Scalar twin of the cuckoo scans: locates keys through the TableView
+// accessors, so one loop serves both bucket layouts and every key and value
+// width. It reads nothing outside the candidate buckets' key lanes.
 template <typename K>
-BucketScan ScalarBucketScan(const TableView& view, std::uint64_t b,
+CuckooScan ScalarCuckooScan(const TableView& view,
+                            const std::uint32_t* candidates,
                             std::uint64_t key) {
-  BucketScan r;
+  CuckooScan r;
   const K probe = static_cast<K>(key);
-  const unsigned slots = view.spec.slots;
-  for (unsigned s = 0; s < slots; ++s) {
-    K k;
-    std::memcpy(&k, view.key_ptr(b, s), sizeof(K));
-    if (r.match_slot < 0 && k == probe) r.match_slot = static_cast<int>(s);
-    if (r.empty_slot < 0 && k == static_cast<K>(kEmptyKey)) {
-      r.empty_slot = static_cast<int>(s);
+  const unsigned m = view.spec.slots;
+  for (unsigned w = 0; w < view.spec.ways; ++w) {
+    for (unsigned s = 0; s < m; ++s) {
+      K k;
+      std::memcpy(&k, view.key_ptr(candidates[w], s), sizeof(K));
+      const std::uint32_t bit = std::uint32_t{1} << (w * m + s);
+      if (k == probe) r.match |= bit;
+      if (k == static_cast<K>(kEmptyKey)) r.empty |= bit;
     }
   }
   return r;
+}
+
+CuckooScanFn ScalarCuckooScanFor(const LayoutSpec& spec) {
+  switch (spec.key_bits) {
+    case 16:
+      return &ScalarCuckooScan<std::uint16_t>;
+    case 32:
+      return &ScalarCuckooScan<std::uint32_t>;
+    default:
+      return &ScalarCuckooScan<std::uint64_t>;
+  }
 }
 
 GroupScan ScalarGroupScan(const std::uint8_t* ctrl, std::uint8_t h2) {
@@ -36,26 +50,15 @@ GroupScan ScalarGroupScan(const std::uint8_t* ctrl, std::uint8_t h2) {
   return r;
 }
 
-MutationKernel ScalarCuckoo(const char* name, unsigned key_bits,
-                            BucketScanFn fn) {
-  MutationKernel k;
-  k.name = name;
-  k.family = TableFamily::kCuckoo;
-  k.level = SimdLevel::kScalar;
-  k.key_bits = key_bits;
-  k.bucket_scan = fn;
-  return k;
-}
-
 }  // namespace
 
 void AppendScalarMutationKernels(std::vector<MutationKernel>* out) {
-  out->push_back(
-      ScalarCuckoo("MutScan-Scalar/k16", 16, &ScalarBucketScan<std::uint16_t>));
-  out->push_back(
-      ScalarCuckoo("MutScan-Scalar/k32", 32, &ScalarBucketScan<std::uint32_t>));
-  out->push_back(
-      ScalarCuckoo("MutScan-Scalar/k64", 64, &ScalarBucketScan<std::uint64_t>));
+  MutationKernel cuckoo;
+  cuckoo.name = "MutScan-Scalar/cuckoo";
+  cuckoo.family = TableFamily::kCuckoo;
+  cuckoo.level = SimdLevel::kScalar;
+  cuckoo.cuckoo_scan_for = &ScalarCuckooScanFor;
+  out->push_back(cuckoo);
   MutationKernel swiss;
   swiss.name = "MutScan-Scalar/ctrl";
   swiss.family = TableFamily::kSwiss;
@@ -76,24 +79,11 @@ const MutationRegistry& MutationRegistry::Get() {
   return registry;
 }
 
-const MutationKernel* MutationRegistry::ForCuckoo(
-    const LayoutSpec& spec) const {
+const MutationKernel* MutationRegistry::Best(TableFamily family) const {
   const CpuFeatures& cpu = GetCpuFeatures();
   const MutationKernel* best = nullptr;
   for (const MutationKernel& k : kernels_) {
-    if (!k.MatchesCuckoo(spec)) continue;
-    if (!cpu.Supports(k.level)) continue;
-    if (best == nullptr || k.level > best->level) best = &k;
-  }
-  return best;
-}
-
-const MutationKernel* MutationRegistry::ForSwiss() const {
-  const CpuFeatures& cpu = GetCpuFeatures();
-  const MutationKernel* best = nullptr;
-  for (const MutationKernel& k : kernels_) {
-    if (k.family != TableFamily::kSwiss || k.group_scan == nullptr) continue;
-    if (!cpu.Supports(k.level)) continue;
+    if (k.family != family || !cpu.Supports(k.level)) continue;
     if (best == nullptr || k.level > best->level) best = &k;
   }
   return best;

@@ -1,25 +1,34 @@
 // Family-generic batched mutation engine: scan kernels + batch descriptor.
 //
-// The read path batches, prefetches and SIMD-scans; until this layer the
-// write path walked one key at a time. A batched mutation hashes a chunk of
-// keys as a block (hash/block_hash.h), issues write-hint prefetches for
-// every candidate bucket, then SIMD-scans each bucket once for *both* a key
-// match (duplicate → overwrite) and the first empty slot (direct insert) —
-// only keys whose candidate buckets are full fall back to the scalar insert
-// core (BFS path search / stash / rebuild). Batch results are bit-identical
-// to the scalar loop: the fast path reproduces exactly the writes, stats
-// and placement order the per-key path would have made (a direct insert is
-// a BFS path of length one, and the BFS root scan is way-major slot-minor —
-// the same order these scans report).
+// The read path batches, prefetches and SIMD-scans; this layer does the same
+// for writes. The cuckoo batch writes (CuckooTable::BatchInsert and
+// BatchUpdate) run the horizontal lookup kernels' per-key schedule: keys
+// are block-hashed a kMutationChunk tile at a time (hash/block_hash.h) into
+// a ring of two tiles, the loop prefetches key i +
+// kCuckooWritePrefetchDistance right before scanning key i, and one kernel
+// call scans *all* of key i's candidate buckets for both a key match
+// (duplicate -> overwrite) and the empty slots (direct insert). The call
+// returns one fused match mask and one empty mask (CuckooScan), so the
+// engine takes the slot from ctz instead of branching on which way matched.
+// Only keys whose candidate buckets are all full fall back to the scalar
+// insert core (BFS path search / stash / rebuild). Batch results are
+// bit-identical to the scalar loop: the fast path reproduces exactly the
+// writes, stats and placement order the per-key path would have made (a
+// direct insert is a BFS path of length one, and the BFS root scan is
+// way-major slot-minor -- the bit order of the masks).
 //
-// Scan kernels come from a fixed built-in list: scalar twins plus SSE and
-// AVX2 scans. The per-ISA scan TUs live beside the tables (mutation_simd.cc
-// / mutation_avx2.cc, compiled with per-file ISA flags like src/simd's
-// kernel TUs) because the layering runs simd → ht: tables cannot link the
-// lookup-kernel registry, but every binary that links simdht_ht — with or
-// without simdht_simd — must agree on batch results. Selection is gated on
-// runtime CpuFeatures, and the scalar twins make every scan available
-// everywhere.
+// Swiss batch writes block-hash and prefetch a whole chunk first, then scan
+// each probed group's control bytes with one GroupScan call.
+//
+// Scan kernels come from a fixed built-in list: per tier one cuckoo scan
+// (scalar twin, SSE4.2, AVX2), each serving every valid cuckoo layout, and
+// the Swiss group scans (scalar twin, SSE4.2). The per-ISA scan TUs live
+// beside the tables (mutation_simd.cc / mutation_avx2.cc, compiled with
+// per-file ISA flags like src/simd's kernel TUs) because the layering runs
+// simd -> ht: tables cannot link the lookup-kernel registry, but every binary
+// that links simdht_ht -- with or without simdht_simd -- must agree on batch
+// results. Selection is gated on runtime CpuFeatures, and the scalar twins
+// make a scan available everywhere.
 #ifndef SIMDHT_HT_MUTATION_H_
 #define SIMDHT_HT_MUTATION_H_
 
@@ -52,25 +61,40 @@ struct MutationBatch {
   }
 };
 
-// Chunk width of the batched engines: keys are block-hashed and their
-// buckets prefetched this many at a time — enough independent misses to
-// fill the memory pipeline, small enough to stay in L1 while the chunk's
-// per-key writes land.
+// Tile width of the batched engines: keys are block-hashed this many at a
+// time. Swiss also prefetches a whole chunk's home groups at once; the
+// cuckoo engines keep two tiles hashed in a ring and prefetch per key.
 inline constexpr std::size_t kMutationChunk = 64;
 
-// Result of scanning one cuckoo bucket for a probe key: the first slot
-// holding the key and the first empty slot, both in ascending slot order
-// (-1 = none). One scan feeds both the duplicate-overwrite check and the
-// direct-insert placement.
-struct BucketScan {
-  int match_slot = -1;
-  int empty_slot = -1;
+// How many keys ahead of the scan the cuckoo engines prefetch. Under one
+// tile, so the prefetched key's candidates are always hashed already (the
+// next tile is hashed when the current one starts).
+inline constexpr std::size_t kCuckooWritePrefetchDistance = 32;
+static_assert(kCuckooWritePrefetchDistance <= kMutationChunk);
+
+// Result of scanning every candidate bucket of one probe key. Bit w * m + s
+// stands for slot s of candidates[w] (m = slots per bucket): way-major,
+// slot-minor, the order the scalar insert walks. ctz(match) is therefore
+// the copy the scalar duplicate pass finds and ctz(empty) the slot a BFS
+// path of length one fills. When two ways share a bucket its slots show up
+// under both ways. ways <= 4 and m <= 8 fit 32 bits.
+struct CuckooScan {
+  std::uint32_t match = 0;
+  std::uint32_t empty = 0;
 };
 
-// Scans bucket `b` of a cuckoo-family view for `key` (passed widened; the
-// kernel narrows to its registered key width).
-using BucketScanFn = BucketScan (*)(const TableView& view, std::uint64_t b,
+// Scans buckets candidates[0, view.spec.ways) of a cuckoo-family view for
+// `key` (passed widened; the kernel narrows it to view.spec.key_bits).
+// Kernels may read up to 32 bytes past a bucket's start: the arena's tail
+// padding keeps that in bounds, and the masks ignore the extra lanes.
+using CuckooScanFn = CuckooScan (*)(const TableView& view,
+                                    const std::uint32_t* candidates,
                                     std::uint64_t key);
+
+// A tier's cuckoo scan for one layout: returns the CuckooScanFn that serves
+// views of the valid cuckoo `spec` (its ways, slots, key width and bucket
+// layout), resolved once per table rather than decoded per key.
+using CuckooScanForFn = CuckooScanFn (*)(const LayoutSpec& spec);
 
 // Result of scanning one Swiss 16-slot group's control bytes: candidate
 // fingerprint matches (verify keys before trusting), EMPTY bytes, and all
@@ -84,29 +108,14 @@ struct GroupScan {
 // Scans the 16 control bytes at `ctrl` (a group base inside view.meta).
 using GroupScanFn = GroupScan (*)(const std::uint8_t* ctrl, std::uint8_t h2);
 
-// One registered mutation-scan kernel. Cuckoo kernels set bucket_scan and
-// match on (key_bits, val_bits, bucket_layout); Swiss kernels set
-// group_scan and are key-oblivious (the control lane is always one byte
-// per slot). val_bits 0 matches any value width; any_layout ignores the
-// bucket-layout field (the scalar twins locate keys through TableView).
+// One registered mutation-scan kernel: cuckoo kernels set cuckoo_scan_for
+// and serve every valid cuckoo LayoutSpec; Swiss kernels set group_scan.
 struct MutationKernel {
   const char* name = "?";
   TableFamily family = TableFamily::kCuckoo;
   SimdLevel level = SimdLevel::kScalar;
-  unsigned key_bits = 0;  // 0 = any
-  unsigned val_bits = 0;  // 0 = any
-  bool any_layout = true;
-  BucketLayout bucket_layout = BucketLayout::kInterleaved;
-  BucketScanFn bucket_scan = nullptr;
+  CuckooScanForFn cuckoo_scan_for = nullptr;
   GroupScanFn group_scan = nullptr;
-
-  bool MatchesCuckoo(const LayoutSpec& spec) const {
-    if (family != TableFamily::kCuckoo || bucket_scan == nullptr) return false;
-    if (key_bits != 0 && key_bits != spec.key_bits) return false;
-    if (val_bits != 0 && val_bits != spec.val_bits) return false;
-    if (!any_layout && bucket_layout != spec.bucket_layout) return false;
-    return true;
-  }
 };
 
 // Process-wide mutation-scan registry. Built on first use from the
@@ -117,20 +126,23 @@ class MutationRegistry {
 
   const std::vector<MutationKernel>& all() const { return kernels_; }
 
-  // Highest-ISA supported scan for a cuckoo-family spec (scalar twins make
-  // this never null for valid specs) / for the Swiss control lane.
-  const MutationKernel* ForCuckoo(const LayoutSpec& spec) const;
-  const MutationKernel* ForSwiss() const;
+  // Highest-ISA supported scan for the cuckoo family / for the Swiss
+  // control lane (the scalar twins make these never null).
+  const MutationKernel* ForCuckoo() const { return Best(TableFamily::kCuckoo); }
+  const MutationKernel* ForSwiss() const { return Best(TableFamily::kSwiss); }
   const MutationKernel* ByName(const std::string& name) const;
 
  private:
   MutationRegistry();
+  const MutationKernel* Best(TableFamily family) const;
   std::vector<MutationKernel> kernels_;
 };
 
-// Write-hint prefetch of every cache line of bucket `b` — the mutation
-// twin of simd/prefetch.h's read-hint PrefetchBucket (which lives in the
-// simd layer; the write path needs one below it).
+// Prefetch of every cache line of bucket `b` -- the mutation twin of
+// simd/prefetch.h's PrefetchBucket (which lives in the simd layer; the
+// write path needs one below it). The builtin asks for a write hint, but
+// at the -msse4.2 baseline gcc emits prefetcht0 (PREFETCHW needs -mprfchw),
+// so the line arrives shared in L1 like a read prefetch.
 SIMDHT_ALWAYS_INLINE void PrefetchBucketForWrite(const TableView& view,
                                                  std::uint64_t b) {
   const std::uint8_t* p = view.bucket_ptr(b);
@@ -141,11 +153,29 @@ SIMDHT_ALWAYS_INLINE void PrefetchBucketForWrite(const TableView& view,
   __builtin_prefetch(p + stride - 1, 1, 3);
 }
 
-// Write-hint prefetch of a Swiss group's control bytes + key block.
+// Prefetch of a Swiss group's control bytes + key block.
 SIMDHT_ALWAYS_INLINE void PrefetchGroupForWrite(const TableView& view,
                                                 std::uint64_t group) {
   __builtin_prefetch(view.meta + group * kSwissGroupSlots, 1, 3);
   PrefetchBucketForWrite(view, group);
+}
+
+// Prefetches every cache line the `ways` buckets in `candidates` touch
+// (into L1, as prefetcht0; see PrefetchBucketForWrite). Split buckets with
+// 6- or 12-byte slots are not powers of two and may straddle a line
+// boundary. Force-inlined: gcc infers a non-inlined body holding nothing
+// but prefetches to be side-effect free and deletes the calls.
+SIMDHT_ALWAYS_INLINE void PrefetchCandidatesForWrite(
+    const std::uint8_t* data, std::size_t stride, unsigned ways,
+    const std::uint32_t* candidates) {
+  for (unsigned w = 0; w < ways; ++w) {
+    const std::uint8_t* p = data + candidates[w] * stride;
+    const std::uint8_t* line = p - reinterpret_cast<std::uintptr_t>(p) %
+                                       kCacheLineBytes;
+    for (; line < p + stride; line += kCacheLineBytes) {
+      __builtin_prefetch(line, 1, 3);
+    }
+  }
 }
 
 // Built-in scan appenders, hard-referenced from the registry constructor so

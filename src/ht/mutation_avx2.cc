@@ -1,185 +1,120 @@
-// AVX2 mutation-scan kernels (compiled -mavx2, runtime-gated by the
-// registry through CpuFeatures). 32-byte steps over the bucket; slots a
-// full step cannot cover fall through to a scalar tail, so the kernels
-// serve every (N, m) shape of their (key, val, layout) class. Swiss groups
-// are 16 control bytes, so the SSE scan already saturates that family.
+// AVX2 mutation-scan kernel (compiled -mavx2, runtime-gated by the registry
+// through CpuFeatures). The same fused per-key cuckoo scan as the SSE tier
+// (ht/mutation_impl.h), with 32-byte loads: one load covers a (2,4) k32v32
+// bucket or a (2,8) k32 split key block. 16-bit keys keep 16-byte loads,
+// since 8 slots of u16 already fill them. Swiss groups are 16 control
+// bytes, so the SSE group scan already saturates that family.
 #include <immintrin.h>
 
-#include <cstring>
-
 #include "ht/mutation.h"
+#include "ht/mutation_impl.h"
 
 namespace simdht {
 
 namespace {
 
-// Every kernel exits through ScanTail (a non-vector local call), and gcc's
-// automatic vzeroupper insertion treats the post-call state as clean — so
-// no vzeroupper reaches the ret, and the dirty YMM upper state taxes every
-// legacy-SSE instruction the caller runs next (measured 16x on libm's
-// exp/log). Clear it explicitly once the vector loop is done.
-inline void DoneWithVectors() { _mm256_zeroupper(); }
+// Every scan clears the YMM upper state before it returns: left dirty, it
+// taxes every legacy-SSE instruction the caller runs next (16x measured on
+// libm's exp/log), and gcc's automatic vzeroupper misses some exit paths.
+// scripts/check_codegen.sh checks that every exit of a scan follows one.
+struct Avx2Lanes {
+  static void Finish() { _mm256_zeroupper(); }
+};
 
-template <typename K>
-void ScanTail(const TableView& view, std::uint64_t b, K probe, unsigned from,
-              BucketScan* r) {
-  const unsigned slots = view.spec.slots;
-  for (unsigned s = from; s < slots; ++s) {
-    K k;
-    std::memcpy(&k, view.key_ptr(b, s), sizeof(K));
-    if (r->match_slot < 0 && k == probe) r->match_slot = static_cast<int>(s);
-    if (r->empty_slot < 0 && k == static_cast<K>(kEmptyKey)) {
-      r->empty_slot = static_cast<int>(s);
-    }
+using K16Split = detail::K16SplitLanes<Avx2Lanes>;
+
+struct K32Split : Avx2Lanes {
+  static constexpr unsigned kSlots = 8;
+  static constexpr std::size_t kBytes = 32;
+  __m256i probe;
+  explicit K32Split(std::uint64_t key)
+      : probe(_mm256_set1_epi32(
+            static_cast<int>(static_cast<std::uint32_t>(key)))) {}
+  void Compare(const std::uint8_t* p, std::uint32_t* eq,
+               std::uint32_t* em) const {
+    const __m256i v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+    *eq = static_cast<std::uint32_t>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(v, probe))));
+    *em = static_cast<std::uint32_t>(_mm256_movemask_ps(_mm256_castsi256_ps(
+        _mm256_cmpeq_epi32(v, _mm256_setzero_si256()))));
   }
-}
+};
 
-BucketScan Avx2ScanK32Interleaved(const TableView& view, std::uint64_t b,
-                                  std::uint64_t key) {
-  BucketScan r;
-  const std::uint8_t* base = view.bucket_ptr(b);
-  const unsigned slots = view.spec.slots;
-  const __m256i probe =
-      _mm256_set1_epi32(static_cast<int>(static_cast<std::uint32_t>(key)));
-  const __m256i zero = _mm256_setzero_si256();
-  unsigned s = 0;
-  for (; s + 4 <= slots; s += 4) {  // 32 B = 4 interleaved k32v32 slots
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(base + std::size_t{s} * 8));
-    const unsigned eq =
-        static_cast<unsigned>(_mm256_movemask_ps(
-            _mm256_castsi256_ps(_mm256_cmpeq_epi32(v, probe)))) &
-        0x55;  // key lanes 0,2,4,6
-    const unsigned em =
-        static_cast<unsigned>(_mm256_movemask_ps(
-            _mm256_castsi256_ps(_mm256_cmpeq_epi32(v, zero)))) &
-        0x55;
-    if (r.match_slot < 0 && eq != 0) {
-      r.match_slot = static_cast<int>(s + (__builtin_ctz(eq) >> 1));
-    }
-    if (r.empty_slot < 0 && em != 0) {
-      r.empty_slot = static_cast<int>(s + (__builtin_ctz(em) >> 1));
-    }
+struct K64Split : Avx2Lanes {
+  static constexpr unsigned kSlots = 4;
+  static constexpr std::size_t kBytes = 32;
+  __m256i probe;
+  explicit K64Split(std::uint64_t key)
+      : probe(_mm256_set1_epi64x(static_cast<long long>(key))) {}
+  void Compare(const std::uint8_t* p, std::uint32_t* eq,
+               std::uint32_t* em) const {
+    const __m256i v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+    *eq = static_cast<std::uint32_t>(
+        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(v, probe))));
+    *em = static_cast<std::uint32_t>(_mm256_movemask_pd(_mm256_castsi256_pd(
+        _mm256_cmpeq_epi64(v, _mm256_setzero_si256()))));
   }
-  DoneWithVectors();
-  ScanTail<std::uint32_t>(view, b, static_cast<std::uint32_t>(key), s, &r);
-  return r;
-}
+};
 
-BucketScan Avx2ScanK32Split(const TableView& view, std::uint64_t b,
-                            std::uint64_t key) {
-  BucketScan r;
-  const std::uint8_t* base = view.bucket_ptr(b);
-  const unsigned slots = view.spec.slots;
-  const __m256i probe =
-      _mm256_set1_epi32(static_cast<int>(static_cast<std::uint32_t>(key)));
-  const __m256i zero = _mm256_setzero_si256();
-  unsigned s = 0;
-  for (; s + 8 <= slots; s += 8) {
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(base + std::size_t{s} * 4));
-    const auto eq = static_cast<unsigned>(_mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(v, probe))));
-    const auto em = static_cast<unsigned>(_mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(v, zero))));
-    if (r.match_slot < 0 && eq != 0) {
-      r.match_slot = static_cast<int>(s + __builtin_ctz(eq));
-    }
-    if (r.empty_slot < 0 && em != 0) {
-      r.empty_slot = static_cast<int>(s + __builtin_ctz(em));
-    }
+// 4 k32v32 slots per load: zeroing each slot's value half turns the key
+// compare into one 64-bit compare per slot, one mask bit each.
+struct K32Interleaved : Avx2Lanes {
+  static constexpr unsigned kSlots = 4;
+  static constexpr std::size_t kBytes = 32;
+  __m256i probe;
+  explicit K32Interleaved(std::uint64_t key)
+      : probe(_mm256_set1_epi64x(
+            static_cast<long long>(static_cast<std::uint32_t>(key)))) {}
+  void Compare(const std::uint8_t* p, std::uint32_t* eq,
+               std::uint32_t* em) const {
+    const __m256i keys = _mm256_and_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)),
+        _mm256_set1_epi64x(0xFFFFFFFFLL));
+    *eq = static_cast<std::uint32_t>(_mm256_movemask_pd(
+        _mm256_castsi256_pd(_mm256_cmpeq_epi64(keys, probe))));
+    *em = static_cast<std::uint32_t>(_mm256_movemask_pd(_mm256_castsi256_pd(
+        _mm256_cmpeq_epi64(keys, _mm256_setzero_si256()))));
   }
-  DoneWithVectors();
-  ScanTail<std::uint32_t>(view, b, static_cast<std::uint32_t>(key), s, &r);
-  return r;
-}
+};
 
-BucketScan Avx2ScanK64Interleaved(const TableView& view, std::uint64_t b,
-                                  std::uint64_t key) {
-  BucketScan r;
-  const std::uint8_t* base = view.bucket_ptr(b);
-  const unsigned slots = view.spec.slots;
-  const __m256i probe = _mm256_set1_epi64x(static_cast<long long>(key));
-  const __m256i zero = _mm256_setzero_si256();
-  unsigned s = 0;
-  for (; s + 2 <= slots; s += 2) {  // 32 B = 2 interleaved k64v64 slots
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(base + std::size_t{s} * 16));
-    const unsigned eq =
-        static_cast<unsigned>(_mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(v, probe)))) &
-        0x5;  // key lanes 0 and 2
-    const unsigned em =
-        static_cast<unsigned>(_mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(v, zero)))) &
-        0x5;
-    if (r.match_slot < 0 && eq != 0) {
-      r.match_slot = static_cast<int>(s + (__builtin_ctz(eq) >> 1));
-    }
-    if (r.empty_slot < 0 && em != 0) {
-      r.empty_slot = static_cast<int>(s + (__builtin_ctz(em) >> 1));
-    }
+// 2 k64v64 slots per load: keys sit in lanes 0 and 2, folded to bits 0-1.
+struct K64Interleaved : Avx2Lanes {
+  static constexpr unsigned kSlots = 2;
+  static constexpr std::size_t kBytes = 32;
+  __m256i probe;
+  explicit K64Interleaved(std::uint64_t key)
+      : probe(_mm256_set1_epi64x(static_cast<long long>(key))) {}
+  static std::uint32_t KeyLanes(int lanes) {
+    const auto x = static_cast<std::uint32_t>(lanes) & 0x5;
+    return (x | x >> 1) & 0x3;
   }
-  DoneWithVectors();
-  ScanTail<std::uint64_t>(view, b, key, s, &r);
-  return r;
-}
-
-BucketScan Avx2ScanK64Split(const TableView& view, std::uint64_t b,
-                            std::uint64_t key) {
-  BucketScan r;
-  const std::uint8_t* base = view.bucket_ptr(b);
-  const unsigned slots = view.spec.slots;
-  const __m256i probe = _mm256_set1_epi64x(static_cast<long long>(key));
-  const __m256i zero = _mm256_setzero_si256();
-  unsigned s = 0;
-  for (; s + 4 <= slots; s += 4) {
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(base + std::size_t{s} * 8));
-    const auto eq = static_cast<unsigned>(_mm256_movemask_pd(
+  void Compare(const std::uint8_t* p, std::uint32_t* eq,
+               std::uint32_t* em) const {
+    const __m256i v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+    *eq = KeyLanes(_mm256_movemask_pd(
         _mm256_castsi256_pd(_mm256_cmpeq_epi64(v, probe))));
-    const auto em = static_cast<unsigned>(_mm256_movemask_pd(
-        _mm256_castsi256_pd(_mm256_cmpeq_epi64(v, zero))));
-    if (r.match_slot < 0 && eq != 0) {
-      r.match_slot = static_cast<int>(s + __builtin_ctz(eq));
-    }
-    if (r.empty_slot < 0 && em != 0) {
-      r.empty_slot = static_cast<int>(s + __builtin_ctz(em));
-    }
+    *em = KeyLanes(_mm256_movemask_pd(_mm256_castsi256_pd(
+        _mm256_cmpeq_epi64(v, _mm256_setzero_si256()))));
   }
-  DoneWithVectors();
-  ScanTail<std::uint64_t>(view, b, key, s, &r);
-  return r;
-}
+};
 
-MutationKernel Avx2Cuckoo(const char* name, unsigned key_bits,
-                          unsigned val_bits, BucketLayout layout,
-                          BucketScanFn fn) {
-  MutationKernel k;
-  k.name = name;
-  k.family = TableFamily::kCuckoo;
-  k.level = SimdLevel::kAvx2;
-  k.key_bits = key_bits;
-  k.val_bits = val_bits;
-  k.any_layout = false;
-  k.bucket_layout = layout;
-  k.bucket_scan = fn;
-  return k;
+CuckooScanFn Avx2CuckooScanFor(const LayoutSpec& spec) {
+  return detail::ScanFor<K16Split, K32Split, K64Split, K32Interleaved,
+                         K64Interleaved>(spec);
 }
 
 }  // namespace
 
 void AppendAvx2MutationKernels(std::vector<MutationKernel>* out) {
-  out->push_back(Avx2Cuckoo("MutScan-AVX2/k32v32-inter", 32, 32,
-                            BucketLayout::kInterleaved,
-                            &Avx2ScanK32Interleaved));
-  out->push_back(Avx2Cuckoo("MutScan-AVX2/k32-split", 32, 0,
-                            BucketLayout::kSplit, &Avx2ScanK32Split));
-  out->push_back(Avx2Cuckoo("MutScan-AVX2/k64v64-inter", 64, 64,
-                            BucketLayout::kInterleaved,
-                            &Avx2ScanK64Interleaved));
-  out->push_back(Avx2Cuckoo("MutScan-AVX2/k64-split", 64, 0,
-                            BucketLayout::kSplit, &Avx2ScanK64Split));
+  MutationKernel cuckoo;
+  cuckoo.name = "MutScan-AVX2/cuckoo";
+  cuckoo.family = TableFamily::kCuckoo;
+  cuckoo.level = SimdLevel::kAvx2;
+  cuckoo.cuckoo_scan_for = &Avx2CuckooScanFor;
+  out->push_back(cuckoo);
 }
 
 }  // namespace simdht

@@ -1,168 +1,104 @@
 // SSE mutation-scan kernels (baseline vector tier, compiled -msse4.2).
 //
-// Each scan reports the first key-match slot and the first empty slot of
-// one bucket in ascending slot order — the exact order the scalar insert
-// walks — so the batched engines can substitute a scan for the scalar loop
-// without changing placement. Interleaved buckets compare whole {key,val}
-// lanes and mask the result down to key lanes; split buckets compare the
-// dense key block directly. Selection is gated on runtime CpuFeatures by
-// the registry, so compiling this TU at SSE4.2 is safe on any host.
+// The cuckoo scan compares all of a key's candidate buckets per call
+// (ht/mutation_impl.h) and reports one bit per slot, so the batched engines
+// take the first duplicate and the first empty slot from ctz in exactly the
+// order the scalar insert walks. Interleaved buckets mask the value half of
+// each slot before a 64-bit compare; split buckets compare the dense key
+// block directly. Selection is gated on runtime CpuFeatures by the
+// registry, so compiling this TU at SSE4.2 is safe on any host.
 #include <immintrin.h>
 
-#include <cstring>
-
 #include "ht/mutation.h"
+#include "ht/mutation_impl.h"
 
 namespace simdht {
 
 namespace {
 
-// Scalar tail shared by every cuckoo scan: slots a 16-byte step cannot
-// cover (odd slot counts, sub-vector buckets).
-template <typename K>
-void ScanTail(const TableView& view, std::uint64_t b, K probe, unsigned from,
-              BucketScan* r) {
-  const unsigned slots = view.spec.slots;
-  for (unsigned s = from; s < slots; ++s) {
-    K k;
-    std::memcpy(&k, view.key_ptr(b, s), sizeof(K));
-    if (r->match_slot < 0 && k == probe) r->match_slot = static_cast<int>(s);
-    if (r->empty_slot < 0 && k == static_cast<K>(kEmptyKey)) {
-      r->empty_slot = static_cast<int>(s);
-    }
-  }
-}
+// The SSE scans leave no upper vector state to clear.
+struct SseLanes {
+  static void Finish() {}
+};
 
-BucketScan SseScanK32Interleaved(const TableView& view, std::uint64_t b,
-                                 std::uint64_t key) {
-  BucketScan r;
-  const std::uint8_t* base = view.bucket_ptr(b);
-  const unsigned slots = view.spec.slots;
-  const __m128i probe =
-      _mm_set1_epi32(static_cast<int>(static_cast<std::uint32_t>(key)));
-  const __m128i zero = _mm_setzero_si128();
-  unsigned s = 0;
-  for (; s + 2 <= slots; s += 2) {  // 16 B = 2 interleaved k32v32 slots
-    const __m128i v = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(base + std::size_t{s} * 8));
-    const unsigned eq = static_cast<unsigned>(_mm_movemask_ps(
-                            _mm_castsi128_ps(_mm_cmpeq_epi32(v, probe)))) &
-                        0x5;  // key lanes 0 and 2
-    const unsigned em = static_cast<unsigned>(_mm_movemask_ps(
-                            _mm_castsi128_ps(_mm_cmpeq_epi32(v, zero)))) &
-                        0x5;
-    if (r.match_slot < 0 && eq != 0) {
-      r.match_slot = static_cast<int>(s + (__builtin_ctz(eq) >> 1));
-    }
-    if (r.empty_slot < 0 && em != 0) {
-      r.empty_slot = static_cast<int>(s + (__builtin_ctz(em) >> 1));
-    }
-  }
-  ScanTail<std::uint32_t>(view, b, static_cast<std::uint32_t>(key), s, &r);
-  return r;
-}
+using K16Split = detail::K16SplitLanes<SseLanes>;
 
-BucketScan SseScanK32Split(const TableView& view, std::uint64_t b,
-                           std::uint64_t key) {
-  BucketScan r;
-  const std::uint8_t* base = view.bucket_ptr(b);  // split: keys first
-  const unsigned slots = view.spec.slots;
-  const __m128i probe =
-      _mm_set1_epi32(static_cast<int>(static_cast<std::uint32_t>(key)));
-  const __m128i zero = _mm_setzero_si128();
-  unsigned s = 0;
-  for (; s + 4 <= slots; s += 4) {
-    const __m128i v = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(base + std::size_t{s} * 4));
-    const auto eq = static_cast<unsigned>(
+struct K32Split : SseLanes {
+  static constexpr unsigned kSlots = 4;
+  static constexpr std::size_t kBytes = 16;
+  __m128i probe;
+  explicit K32Split(std::uint64_t key)
+      : probe(_mm_set1_epi32(
+            static_cast<int>(static_cast<std::uint32_t>(key)))) {}
+  void Compare(const std::uint8_t* p, std::uint32_t* eq,
+               std::uint32_t* em) const {
+    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+    *eq = static_cast<std::uint32_t>(
         _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(v, probe))));
-    const auto em = static_cast<unsigned>(
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(v, zero))));
-    if (r.match_slot < 0 && eq != 0) {
-      r.match_slot = static_cast<int>(s + __builtin_ctz(eq));
-    }
-    if (r.empty_slot < 0 && em != 0) {
-      r.empty_slot = static_cast<int>(s + __builtin_ctz(em));
-    }
+    *em = static_cast<std::uint32_t>(_mm_movemask_ps(
+        _mm_castsi128_ps(_mm_cmpeq_epi32(v, _mm_setzero_si128()))));
   }
-  ScanTail<std::uint32_t>(view, b, static_cast<std::uint32_t>(key), s, &r);
-  return r;
-}
+};
 
-BucketScan SseScanK64Interleaved(const TableView& view, std::uint64_t b,
-                                 std::uint64_t key) {
-  BucketScan r;
-  const std::uint8_t* base = view.bucket_ptr(b);
-  const unsigned slots = view.spec.slots;
-  const __m128i probe = _mm_set1_epi64x(static_cast<long long>(key));
-  const __m128i zero = _mm_setzero_si128();
-  for (unsigned s = 0; s < slots; ++s) {  // 16 B = 1 interleaved k64v64 slot
-    const __m128i v = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(base + std::size_t{s} * 16));
-    const unsigned eq = static_cast<unsigned>(_mm_movemask_pd(
-                            _mm_castsi128_pd(_mm_cmpeq_epi64(v, probe)))) &
-                        0x1;  // key lane 0
-    const unsigned em = static_cast<unsigned>(_mm_movemask_pd(
-                            _mm_castsi128_pd(_mm_cmpeq_epi64(v, zero)))) &
-                        0x1;
-    if (r.match_slot < 0 && eq != 0) r.match_slot = static_cast<int>(s);
-    if (r.empty_slot < 0 && em != 0) r.empty_slot = static_cast<int>(s);
-    if (r.match_slot >= 0 && r.empty_slot >= 0) break;
-  }
-  return r;
-}
-
-BucketScan SseScanK64Split(const TableView& view, std::uint64_t b,
-                           std::uint64_t key) {
-  BucketScan r;
-  const std::uint8_t* base = view.bucket_ptr(b);
-  const unsigned slots = view.spec.slots;
-  const __m128i probe = _mm_set1_epi64x(static_cast<long long>(key));
-  const __m128i zero = _mm_setzero_si128();
-  unsigned s = 0;
-  for (; s + 2 <= slots; s += 2) {
-    const __m128i v = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(base + std::size_t{s} * 8));
-    const auto eq = static_cast<unsigned>(
+struct K64Split : SseLanes {
+  static constexpr unsigned kSlots = 2;
+  static constexpr std::size_t kBytes = 16;
+  __m128i probe;
+  explicit K64Split(std::uint64_t key)
+      : probe(_mm_set1_epi64x(static_cast<long long>(key))) {}
+  void Compare(const std::uint8_t* p, std::uint32_t* eq,
+               std::uint32_t* em) const {
+    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+    *eq = static_cast<std::uint32_t>(
         _mm_movemask_pd(_mm_castsi128_pd(_mm_cmpeq_epi64(v, probe))));
-    const auto em = static_cast<unsigned>(
-        _mm_movemask_pd(_mm_castsi128_pd(_mm_cmpeq_epi64(v, zero))));
-    if (r.match_slot < 0 && eq != 0) {
-      r.match_slot = static_cast<int>(s + __builtin_ctz(eq));
-    }
-    if (r.empty_slot < 0 && em != 0) {
-      r.empty_slot = static_cast<int>(s + __builtin_ctz(em));
-    }
+    *em = static_cast<std::uint32_t>(_mm_movemask_pd(
+        _mm_castsi128_pd(_mm_cmpeq_epi64(v, _mm_setzero_si128()))));
   }
-  ScanTail<std::uint64_t>(view, b, key, s, &r);
-  return r;
-}
+};
 
-BucketScan SseScanK16Split(const TableView& view, std::uint64_t b,
-                           std::uint64_t key) {
-  BucketScan r;
-  const std::uint8_t* base = view.bucket_ptr(b);
-  const unsigned slots = view.spec.slots;
-  const __m128i probe = _mm_set1_epi16(
-      static_cast<short>(static_cast<std::uint16_t>(key)));
-  const __m128i zero = _mm_setzero_si128();
-  unsigned s = 0;
-  for (; s + 8 <= slots; s += 8) {
-    const __m128i v = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(base + std::size_t{s} * 2));
-    const auto eq = static_cast<unsigned>(
-        _mm_movemask_epi8(_mm_cmpeq_epi16(v, probe)));
-    const auto em = static_cast<unsigned>(
-        _mm_movemask_epi8(_mm_cmpeq_epi16(v, zero)));
-    if (r.match_slot < 0 && eq != 0) {
-      r.match_slot = static_cast<int>(s + (__builtin_ctz(eq) >> 1));
-    }
-    if (r.empty_slot < 0 && em != 0) {
-      r.empty_slot = static_cast<int>(s + (__builtin_ctz(em) >> 1));
-    }
+// 2 k32v32 slots per load: zeroing each slot's value half turns the key
+// compare into one 64-bit compare per slot, one mask bit each.
+struct K32Interleaved : SseLanes {
+  static constexpr unsigned kSlots = 2;
+  static constexpr std::size_t kBytes = 16;
+  __m128i probe;
+  explicit K32Interleaved(std::uint64_t key)
+      : probe(_mm_set1_epi64x(
+            static_cast<long long>(static_cast<std::uint32_t>(key)))) {}
+  void Compare(const std::uint8_t* p, std::uint32_t* eq,
+               std::uint32_t* em) const {
+    const __m128i keys = _mm_and_si128(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)),
+        _mm_set1_epi64x(0xFFFFFFFFLL));
+    *eq = static_cast<std::uint32_t>(
+        _mm_movemask_pd(_mm_castsi128_pd(_mm_cmpeq_epi64(keys, probe))));
+    *em = static_cast<std::uint32_t>(_mm_movemask_pd(
+        _mm_castsi128_pd(_mm_cmpeq_epi64(keys, _mm_setzero_si128()))));
   }
-  ScanTail<std::uint16_t>(view, b, static_cast<std::uint16_t>(key), s, &r);
-  return r;
+};
+
+// 1 k64v64 slot per load: the key is lane 0.
+struct K64Interleaved : SseLanes {
+  static constexpr unsigned kSlots = 1;
+  static constexpr std::size_t kBytes = 16;
+  __m128i probe;
+  explicit K64Interleaved(std::uint64_t key)
+      : probe(_mm_set1_epi64x(static_cast<long long>(key))) {}
+  void Compare(const std::uint8_t* p, std::uint32_t* eq,
+               std::uint32_t* em) const {
+    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+    *eq = static_cast<std::uint32_t>(_mm_movemask_pd(
+              _mm_castsi128_pd(_mm_cmpeq_epi64(v, probe)))) &
+          1;
+    *em = static_cast<std::uint32_t>(_mm_movemask_pd(_mm_castsi128_pd(
+              _mm_cmpeq_epi64(v, _mm_setzero_si128())))) &
+          1;
+  }
+};
+
+CuckooScanFn SseCuckooScanFor(const LayoutSpec& spec) {
+  return detail::ScanFor<K16Split, K32Split, K64Split, K32Interleaved,
+                         K64Interleaved>(spec);
 }
 
 GroupScan SseGroupScan(const std::uint8_t* ctrl, std::uint8_t h2) {
@@ -180,36 +116,15 @@ GroupScan SseGroupScan(const std::uint8_t* ctrl, std::uint8_t h2) {
   return r;
 }
 
-MutationKernel SseCuckoo(const char* name, unsigned key_bits,
-                         unsigned val_bits, BucketLayout layout,
-                         BucketScanFn fn) {
-  MutationKernel k;
-  k.name = name;
-  k.family = TableFamily::kCuckoo;
-  k.level = SimdLevel::kSse42;
-  k.key_bits = key_bits;
-  k.val_bits = val_bits;
-  k.any_layout = false;
-  k.bucket_layout = layout;
-  k.bucket_scan = fn;
-  return k;
-}
-
 }  // namespace
 
 void AppendSseMutationKernels(std::vector<MutationKernel>* out) {
-  out->push_back(SseCuckoo("MutScan-SSE/k32v32-inter", 32, 32,
-                           BucketLayout::kInterleaved,
-                           &SseScanK32Interleaved));
-  out->push_back(SseCuckoo("MutScan-SSE/k32-split", 32, 0,
-                           BucketLayout::kSplit, &SseScanK32Split));
-  out->push_back(SseCuckoo("MutScan-SSE/k64v64-inter", 64, 64,
-                           BucketLayout::kInterleaved,
-                           &SseScanK64Interleaved));
-  out->push_back(SseCuckoo("MutScan-SSE/k64-split", 64, 0,
-                           BucketLayout::kSplit, &SseScanK64Split));
-  out->push_back(SseCuckoo("MutScan-SSE/k16-split", 16, 0,
-                           BucketLayout::kSplit, &SseScanK16Split));
+  MutationKernel cuckoo;
+  cuckoo.name = "MutScan-SSE/cuckoo";
+  cuckoo.family = TableFamily::kCuckoo;
+  cuckoo.level = SimdLevel::kSse42;
+  cuckoo.cuckoo_scan_for = &SseCuckooScanFor;
+  out->push_back(cuckoo);
   MutationKernel swiss;
   swiss.name = "MutScan-SSE/ctrl";
   swiss.family = TableFamily::kSwiss;

@@ -43,8 +43,8 @@ class KvBackend {
   // keys.size() and filled with per-key 1/0 outcomes. Returns the number
   // of keys stored. The base implementation is the scalar loop; backends
   // override it to push the whole batch through the table's mutation
-  // engine — block hashing, candidate write-prefetch, SIMD empty/dup
-  // scans — under one writer-lock acquisition.
+  // engine — block hashing, candidate prefetch, SIMD empty/dup scans —
+  // under one writer-lock acquisition.
   virtual std::size_t MultiSet(const std::vector<std::string_view>& keys,
                                const std::vector<std::string_view>& vals,
                                std::vector<std::uint8_t>* ok);

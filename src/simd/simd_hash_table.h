@@ -177,7 +177,7 @@ class SimdHashTable {
 
   // --- batched mutation (ht/mutation.h engine) ---
   // Inserts/overwrites keys[0..n) through the family-generic batched write
-  // path: block hashing, write-hint prefetch, SIMD bucket/group scans, with
+  // path: block hashing, prefetch, fused SIMD candidate/group scans, with
   // only conflicted keys falling into the scalar insert core. ok[i]
   // (optional, may be null) mirrors what Insert(keys[i], vals[i]) would
   // have returned; the resulting table state is bit-identical to that

@@ -13,6 +13,12 @@
 #    16x slowdown of libm's exp/log). Every exit of every function in
 #    mutation_avx2.cc.o that touches a YMM register must follow a vzeroupper
 #    inside the same basic block.
+#  * Per-group dispatch. Every SwissTable operation scans its control
+#    groups with the force-inlined ScanSwissGroup; a scan reached through a
+#    function pointer costs a call and a store-forwarding stall per probed
+#    group. No SwissTable<K, V> member in swiss_table.cc.o may contain an
+#    indirect call, and all 10 members defined there (x 3 key types) must
+#    be found.
 #
 #   scripts/check_codegen.sh [build-dir]    # default: build (default preset)
 #
@@ -33,6 +39,11 @@ import sys
 
 WRITE_RE = re.compile(r"^simdht::CuckooTable<(.*)>::(BatchInsert|BatchUpdate)\(")
 EXPECTED_WRITES = 12
+SWISS_RE = re.compile(r"^simdht::SwissTable<.*>::[~\w]+\(")
+SWISS_DEFINED_RE = re.compile(
+    r"^simdht::SwissTable<.*>::(SwissTable|RestoreState|Find|Locate|Insert|"
+    r"BatchInsert|BatchUpdate|UpdateValue|Erase|PurgeTombstones)\(")
+EXPECTED_SWISS_DEFINED = 30
 
 obj = None
 funcs = []  # [object, symbol, [[address, text, relocated]]]
@@ -64,6 +75,17 @@ for sym, ins in writes:
 if len(writes) != EXPECTED_WRITES:
     failures.append("found %d CuckooTable BatchInsert/BatchUpdate symbols, "
                     "expected %d" % (len(writes), EXPECTED_WRITES))
+
+swiss = [(s, ins) for o, s, ins in funcs
+         if o == "swiss_table.cc.o" and SWISS_RE.match(s)]
+for sym, ins in swiss:
+    for addr, text, _ in ins:
+        if re.match(r"^call\w*\s+\*", text):
+            failures.append("indirect call at 0x%x in %s" % (addr, sym))
+defined = sum(1 for s, _ in swiss if SWISS_DEFINED_RE.match(s))
+if defined != EXPECTED_SWISS_DEFINED:
+    failures.append("found %d SwissTable members defined in swiss_table.cc, "
+                    "expected %d" % (defined, EXPECTED_SWISS_DEFINED))
 
 def jump(sym, text):
     """(target address or None, leaves the function) for a jump, else None."""
@@ -102,5 +124,6 @@ for f in failures:
 if failures:
     sys.exit(1)
 print("check_codegen: %d batched-write symbols prefetch, %d AVX2 scan "
-      "functions clear YMM state on every exit - OK" % (len(writes), len(avx2)))
+      "functions clear YMM state on every exit, %d SwissTable members make "
+      "no indirect call - OK" % (len(writes), len(avx2), len(swiss)))
 '

@@ -39,36 +39,18 @@ CuckooScanFn ScalarCuckooScanFor(const LayoutSpec& spec) {
   }
 }
 
-GroupScan ScalarGroupScan(const std::uint8_t* ctrl, std::uint8_t h2) {
-  GroupScan r;
-  for (unsigned s = 0; s < kSwissGroupSlots; ++s) {
-    const std::uint8_t c = ctrl[s];
-    if (c == h2) r.match_mask |= 1u << s;
-    if (c == kCtrlEmpty) r.empty_mask |= 1u << s;
-    if (c == kCtrlEmpty || c == kCtrlTombstone) r.free_mask |= 1u << s;
-  }
-  return r;
-}
-
 }  // namespace
 
 void AppendScalarMutationKernels(std::vector<MutationKernel>* out) {
   MutationKernel cuckoo;
   cuckoo.name = "MutScan-Scalar/cuckoo";
-  cuckoo.family = TableFamily::kCuckoo;
   cuckoo.level = SimdLevel::kScalar;
   cuckoo.cuckoo_scan_for = &ScalarCuckooScanFor;
   out->push_back(cuckoo);
-  MutationKernel swiss;
-  swiss.name = "MutScan-Scalar/ctrl";
-  swiss.family = TableFamily::kSwiss;
-  swiss.level = SimdLevel::kScalar;
-  swiss.group_scan = &ScalarGroupScan;
-  out->push_back(swiss);
 }
 
 MutationRegistry::MutationRegistry() {
-  // Scalar twins, then per-ISA scans; selection prefers the highest tier.
+  // Scalar twin, then per-ISA scans; selection prefers the highest tier.
   AppendScalarMutationKernels(&kernels_);
   AppendSseMutationKernels(&kernels_);
   AppendAvx2MutationKernels(&kernels_);
@@ -79,11 +61,11 @@ const MutationRegistry& MutationRegistry::Get() {
   return registry;
 }
 
-const MutationKernel* MutationRegistry::Best(TableFamily family) const {
+const MutationKernel* MutationRegistry::ForCuckoo() const {
   const CpuFeatures& cpu = GetCpuFeatures();
   const MutationKernel* best = nullptr;
   for (const MutationKernel& k : kernels_) {
-    if (k.family != family || !cpu.Supports(k.level)) continue;
+    if (!cpu.Supports(k.level)) continue;
     if (best == nullptr || k.level > best->level) best = &k;
   }
   return best;

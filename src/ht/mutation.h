@@ -18,17 +18,18 @@
 // way-major slot-minor -- the bit order of the masks).
 //
 // Swiss batch writes block-hash and prefetch a whole chunk first, then scan
-// each probed group's control bytes with one GroupScan call.
+// each probed group's control bytes with the force-inlined ScanSwissGroup
+// (ht/swiss_scan.h); they take nothing from the registry below.
 //
-// Scan kernels come from a fixed built-in list: per tier one cuckoo scan
-// (scalar twin, SSE4.2, AVX2), each serving every valid cuckoo layout, and
-// the Swiss group scans (scalar twin, SSE4.2). The per-ISA scan TUs live
-// beside the tables (mutation_simd.cc / mutation_avx2.cc, compiled with
-// per-file ISA flags like src/simd's kernel TUs) because the layering runs
-// simd -> ht: tables cannot link the lookup-kernel registry, but every binary
-// that links simdht_ht -- with or without simdht_simd -- must agree on batch
-// results. Selection is gated on runtime CpuFeatures, and the scalar twins
-// make a scan available everywhere.
+// Scan kernels come from a fixed built-in list: one cuckoo scan per tier
+// (scalar twin, SSE4.2, AVX2), each serving every valid cuckoo layout. The
+// per-ISA scan TUs live beside the tables (mutation_simd.cc /
+// mutation_avx2.cc, compiled with per-file ISA flags like src/simd's kernel
+// TUs) because the layering runs simd -> ht: tables cannot link the
+// lookup-kernel registry, but every binary that links simdht_ht -- with or
+// without simdht_simd -- must agree on batch results. Selection is gated on
+// runtime CpuFeatures, and the scalar twin makes a scan available
+// everywhere.
 #ifndef SIMDHT_HT_MUTATION_H_
 #define SIMDHT_HT_MUTATION_H_
 
@@ -96,29 +97,15 @@ using CuckooScanFn = CuckooScan (*)(const TableView& view,
 // layout), resolved once per table rather than decoded per key.
 using CuckooScanForFn = CuckooScanFn (*)(const LayoutSpec& spec);
 
-// Result of scanning one Swiss 16-slot group's control bytes: candidate
-// fingerprint matches (verify keys before trusting), EMPTY bytes, and all
-// free bytes (EMPTY | TOMBSTONE). Bit i = slot i.
-struct GroupScan {
-  std::uint32_t match_mask = 0;
-  std::uint32_t empty_mask = 0;
-  std::uint32_t free_mask = 0;
-};
-
-// Scans the 16 control bytes at `ctrl` (a group base inside view.meta).
-using GroupScanFn = GroupScan (*)(const std::uint8_t* ctrl, std::uint8_t h2);
-
-// One registered mutation-scan kernel: cuckoo kernels set cuckoo_scan_for
-// and serve every valid cuckoo LayoutSpec; Swiss kernels set group_scan.
+// One registered cuckoo mutation-scan kernel; it serves every valid cuckoo
+// LayoutSpec.
 struct MutationKernel {
   const char* name = "?";
-  TableFamily family = TableFamily::kCuckoo;
   SimdLevel level = SimdLevel::kScalar;
   CuckooScanForFn cuckoo_scan_for = nullptr;
-  GroupScanFn group_scan = nullptr;
 };
 
-// Process-wide mutation-scan registry. Built on first use from the
+// Process-wide cuckoo mutation-scan registry. Built on first use from the
 // built-in scalar/SSE/AVX2 scans.
 class MutationRegistry {
  public:
@@ -126,15 +113,12 @@ class MutationRegistry {
 
   const std::vector<MutationKernel>& all() const { return kernels_; }
 
-  // Highest-ISA supported scan for the cuckoo family / for the Swiss
-  // control lane (the scalar twins make these never null).
-  const MutationKernel* ForCuckoo() const { return Best(TableFamily::kCuckoo); }
-  const MutationKernel* ForSwiss() const { return Best(TableFamily::kSwiss); }
+  // Highest-ISA supported scan (the scalar twin makes this never null).
+  const MutationKernel* ForCuckoo() const;
   const MutationKernel* ByName(const std::string& name) const;
 
  private:
   MutationRegistry();
-  const MutationKernel* Best(TableFamily family) const;
   std::vector<MutationKernel> kernels_;
 };
 

@@ -3,7 +3,8 @@
 // (ht/mutation_impl.h), with 32-byte loads: one load covers a (2,4) k32v32
 // bucket or a (2,8) k32 split key block. 16-bit keys keep 16-byte loads,
 // since 8 slots of u16 already fill them. Swiss groups are 16 control
-// bytes, so the SSE group scan already saturates that family.
+// bytes, so the inline SSE2 group scan (ht/swiss_scan.h) already saturates
+// that family.
 #include <immintrin.h>
 
 #include "ht/mutation.h"
@@ -111,7 +112,6 @@ CuckooScanFn Avx2CuckooScanFor(const LayoutSpec& spec) {
 void AppendAvx2MutationKernels(std::vector<MutationKernel>* out) {
   MutationKernel cuckoo;
   cuckoo.name = "MutScan-AVX2/cuckoo";
-  cuckoo.family = TableFamily::kCuckoo;
   cuckoo.level = SimdLevel::kAvx2;
   cuckoo.cuckoo_scan_for = &Avx2CuckooScanFor;
   out->push_back(cuckoo);

@@ -101,36 +101,14 @@ CuckooScanFn SseCuckooScanFor(const LayoutSpec& spec) {
                          K64Interleaved>(spec);
 }
 
-GroupScan SseGroupScan(const std::uint8_t* ctrl, std::uint8_t h2) {
-  GroupScan r;
-  const __m128i v =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(ctrl));
-  r.match_mask = static_cast<std::uint32_t>(_mm_movemask_epi8(
-      _mm_cmpeq_epi8(v, _mm_set1_epi8(static_cast<char>(h2)))));
-  r.empty_mask = static_cast<std::uint32_t>(_mm_movemask_epi8(
-      _mm_cmpeq_epi8(v, _mm_set1_epi8(static_cast<char>(kCtrlEmpty)))));
-  r.free_mask =
-      r.empty_mask |
-      static_cast<std::uint32_t>(_mm_movemask_epi8(_mm_cmpeq_epi8(
-          v, _mm_set1_epi8(static_cast<char>(kCtrlTombstone)))));
-  return r;
-}
-
 }  // namespace
 
 void AppendSseMutationKernels(std::vector<MutationKernel>* out) {
   MutationKernel cuckoo;
   cuckoo.name = "MutScan-SSE/cuckoo";
-  cuckoo.family = TableFamily::kCuckoo;
   cuckoo.level = SimdLevel::kSse42;
   cuckoo.cuckoo_scan_for = &SseCuckooScanFor;
   out->push_back(cuckoo);
-  MutationKernel swiss;
-  swiss.name = "MutScan-SSE/ctrl";
-  swiss.family = TableFamily::kSwiss;
-  swiss.level = SimdLevel::kSse42;
-  swiss.group_scan = &SseGroupScan;
-  out->push_back(swiss);
 }
 
 }  // namespace simdht

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "hash/block_hash.h"
+#include "ht/swiss_scan.h"
 
 namespace simdht {
 
@@ -11,8 +12,17 @@ SwissTable<K, V>::SwissTable(std::uint64_t min_groups, std::uint64_t seed,
                              HashKind hash_kind)
     : store_(TableShape::For(
                  LayoutSpec::Swiss(sizeof(K) * 8, sizeof(V) * 8), min_groups),
-             seed, hash_kind),
-      mutation_kernel_(MutationRegistry::Get().ForSwiss()) {}
+             seed, hash_kind) {}
+
+template <typename K, typename V>
+void SwissTable<K, V>::RestoreState(const HashFamily& hash, std::uint64_t size,
+                                    std::uint64_t seed) {
+  store_.Restore(hash, size, seed);
+  tombstones_ = 0;
+  for (std::uint64_t s = 0; s < capacity(); ++s) {
+    tombstones_ += store_.CtrlAt(s) == kCtrlTombstone;
+  }
+}
 
 template <typename K, typename V>
 bool SwissTable<K, V>::Find(K key, V* val) const {
@@ -32,8 +42,7 @@ bool SwissTable<K, V>::Locate(K key, std::uint64_t* group, unsigned* slot,
   const std::uint64_t mask = groups - 1;
   std::uint64_t g = HomeGroup(key);
   for (std::uint64_t probed = 0; probed < groups; ++probed) {
-    const GroupScan scan =
-        mutation_kernel_->group_scan(ctrl + g * kSwissGroupSlots, h2);
+    const GroupScan scan = ScanSwissGroup(ctrl + g * kSwissGroupSlots, h2);
     for (std::uint32_t m = scan.match_mask; m != 0; m &= m - 1) {
       const auto s = static_cast<unsigned>(__builtin_ctz(m));
       if (store_.KeyAt<K>(g, s) == key) {
@@ -108,7 +117,10 @@ bool SwissTable<K, V>::Insert(K key, V val) {
   store_.SetCtrl(free_group * kSwissGroupSlots + free_slot, h2);
   store_.AdjustSize(1);
   ++stats_.inserts;
-  if (free_is_tombstone) ++stats_.tombstone_reuses;
+  if (free_is_tombstone) {
+    ++stats_.tombstone_reuses;
+    --tombstones_;
+  }
   return true;
 }
 
@@ -141,8 +153,8 @@ void SwissTable<K, V>::BatchInsert(const MutationBatch<K, V>& batch) {
         bool updated = false;
         bool stop = false;
         for (std::uint64_t probed = 0; probed < groups && !stop; ++probed) {
-          const GroupScan scan = mutation_kernel_->group_scan(
-              view.meta + g * kSwissGroupSlots, h2);
+          const GroupScan scan =
+              ScanSwissGroup(view.meta + g * kSwissGroupSlots, h2);
           for (std::uint32_t m = scan.match_mask; m != 0; m &= m - 1) {
             const auto s = static_cast<unsigned>(__builtin_ctz(m));
             if (store_.KeyAt<K>(g, s) == key) {
@@ -174,7 +186,10 @@ void SwissTable<K, V>::BatchInsert(const MutationBatch<K, V>& batch) {
           store_.SetCtrl(free_group * kSwissGroupSlots + free_slot, h2);
           store_.AdjustSize(1);
           ++stats_.inserts;
-          if (free_is_tombstone) ++stats_.tombstone_reuses;
+          if (free_is_tombstone) {
+            ++stats_.tombstone_reuses;
+            --tombstones_;
+          }
           r = 1;
         }
       }
@@ -204,8 +219,8 @@ void SwissTable<K, V>::BatchUpdate(const MutationBatch<K, V>& batch) {
       std::uint8_t r = 0;
       bool stop = false;
       for (std::uint64_t probed = 0; probed < groups && !stop; ++probed) {
-        const GroupScan scan = mutation_kernel_->group_scan(
-            view.meta + g * kSwissGroupSlots, h2);
+        const GroupScan scan =
+            ScanSwissGroup(view.meta + g * kSwissGroupSlots, h2);
         for (std::uint32_t m = scan.match_mask; m != 0; m &= m - 1) {
           const auto s = static_cast<unsigned>(__builtin_ctz(m));
           if (store_.KeyAt<K>(g, s) == key) {
@@ -243,10 +258,73 @@ bool SwissTable<K, V>::Erase(K key) {
   // EMPTY byte (the locating scan's empty mask). Otherwise the slot becomes
   // a TOMBSTONE that probes skip.
   store_.SetSlot<K, V>(g, s, static_cast<K>(kEmptyKey), V{0});
-  store_.SetCtrl(g * kSwissGroupSlots + s,
-                 empty_mask != 0 ? kCtrlEmpty : kCtrlTombstone);
   store_.AdjustSize(-1);
+  if (empty_mask != 0) {
+    store_.SetCtrl(g * kSwissGroupSlots + s, kCtrlEmpty);
+    return true;
+  }
+  store_.SetCtrl(g * kSwissGroupSlots + s, kCtrlTombstone);
+  ++tombstones_;
+  const std::uint64_t cap = capacity();
+  if (cap - size() - tombstones_ < cap / kSwissEmptyFloorDivisor &&
+      tombstones_ >= std::max<std::uint64_t>(
+                         kSwissGroupSlots, cap / kSwissPurgeTombstoneDivisor)) {
+    PurgeTombstones();
+  }
   return true;
+}
+
+template <typename K, typename V>
+void SwissTable<K, V>::PurgeTombstones() {
+  std::uint8_t* ctrl = store_.mutable_meta_data();
+  const std::uint64_t slots = capacity();
+  const std::uint64_t mask = num_buckets() - 1;
+  // 1. Every FULL byte becomes "unplaced" (TOMBSTONE), every old TOMBSTONE
+  //    EMPTY. Both keep their sign bit, so the scan's free mask covers the
+  //    slots still open to a key: EMPTY and unplaced.
+  for (std::uint64_t i = 0; i < slots; ++i) {
+    ctrl[i] = ctrl[i] < kCtrlEmpty ? kCtrlTombstone : kCtrlEmpty;
+  }
+  // 2. Re-place each unplaced key at the first free slot of its probe
+  //    sequence. Groups before that slot are all placed (FULL) and stay so,
+  //    which is the probe invariant.
+  for (std::uint64_t i = 0; i < slots; ++i) {
+    const std::uint64_t g = i / kSwissGroupSlots;
+    const auto s = static_cast<unsigned>(i % kSwissGroupSlots);
+    while (ctrl[i] == kCtrlTombstone) {
+      const K key = store_.KeyAt<K>(g, s);
+      const std::uint8_t h2 = store_.hash().H2<K>(key);
+      // Slot i itself is free, so the walk stops at group g at the latest.
+      std::uint64_t tg = HomeGroup(key);
+      std::uint32_t free;
+      while ((free = ScanSwissGroup(ctrl + tg * kSwissGroupSlots, h2)
+                         .free_mask) == 0) {
+        tg = (tg + 1) & mask;
+      }
+      const auto ts = static_cast<unsigned>(__builtin_ctz(free));
+      const std::uint64_t t = tg * kSwissGroupSlots + ts;
+      if (tg == g) {
+        ctrl[i] = h2;  // lookups scan whole groups: the key stays
+      } else if (ctrl[t] == kCtrlEmpty) {
+        store_.SetSlot<K, V>(tg, ts, key, store_.ValAt<V>(g, s));
+        store_.SetSlot<K, V>(g, s, static_cast<K>(kEmptyKey), V{0});
+        ctrl[t] = h2;
+        ctrl[i] = kCtrlEmpty;
+      } else {
+        // The target holds another unplaced key: swap the two, and process
+        // slot i again for the key that arrived.
+        const K other = store_.KeyAt<K>(tg, ts);
+        const V other_val = store_.ValAt<V>(tg, ts);
+        store_.SetSlot<K, V>(tg, ts, key, store_.ValAt<V>(g, s));
+        store_.SetSlot<K, V>(g, s, other, other_val);
+        ctrl[t] = h2;
+      }
+    }
+  }
+  // 3. The writes above bypassed SetCtrl.
+  store_.RebuildMetaMirror();
+  tombstones_ = 0;
+  ++stats_.purges;
 }
 
 template class SwissTable<std::uint16_t, std::uint32_t>;

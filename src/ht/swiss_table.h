@@ -20,8 +20,10 @@
 // order, wrapping — contains an EMPTY byte. Insert maintains it by placing
 // at the first EMPTY/TOMBSTONE slot of the probe sequence; Erase maintains
 // it by only writing EMPTY into a group that already contains EMPTY
-// (otherwise TOMBSTONE). A lookup may therefore scan any whole-group window
-// width and stop after the first window containing an EMPTY byte.
+// (otherwise TOMBSTONE), and its tombstone purge by re-placing every key at
+// the first free slot of its probe sequence. A lookup may therefore scan
+// any whole-group window width and stop after the first window containing
+// an EMPTY byte.
 #ifndef SIMDHT_HT_SWISS_TABLE_H_
 #define SIMDHT_HT_SWISS_TABLE_H_
 
@@ -33,13 +35,29 @@
 
 namespace simdht {
 
-// Writer-side insertion counters (racy reads are fine for reporting).
+// Writer-side counters (racy reads are fine for reporting). `inserts`
+// counts every new key, `tombstone_reuses` the subset placed over a
+// TOMBSTONE; `purges` counts Erase's in-place tombstone purges.
 struct SwissInsertStats {
-  std::uint64_t inserts = 0;           // new key placed in an EMPTY slot
+  std::uint64_t inserts = 0;           // new key placed
   std::uint64_t updates = 0;           // existing key's value overwritten
   std::uint64_t tombstone_reuses = 0;  // new key placed over a TOMBSTONE
   std::uint64_t failed_inserts = 0;    // Insert() returned false
+  std::uint64_t purges = 0;            // tombstone purges run by Erase
 };
+
+// Tombstone purge trigger. Right after Erase writes a TOMBSTONE it purges
+// in place when both hold:
+//   capacity - size - tombstones < capacity / kSwissEmptyFloorDivisor
+//     (the EMPTY slots have fallen below the floor), and
+//   tombstones >= max(kSwissGroupSlots,
+//                     capacity / kSwissPurgeTombstoneDivisor).
+// The floor keeps missing-key probes short under sustained churn. The
+// tombstone minimum makes every purge reclaim at least one group and
+// capacity / 64 slots, so there is at most one purge per capacity / 64
+// tombstone-writing erases, even at very high load.
+inline constexpr std::uint64_t kSwissEmptyFloorDivisor = 32;
+inline constexpr std::uint64_t kSwissPurgeTombstoneDivisor = 64;
 
 // K in {uint16_t, uint32_t, uint64_t}; V in {uint32_t, uint64_t}.
 template <typename K, typename V>
@@ -61,11 +79,12 @@ class SwissTable {
   bool Insert(K key, V val);
 
   // Batched mutation surface (ht/mutation.h). Bit-identical to the scalar
-  // Insert loop: home groups and H2 fingerprints are block-hashed for the
-  // chunk, control lanes write-prefetched, and each probe group resolved
-  // with one SIMD control scan (match/EMPTY/free masks) instead of a
-  // 16-slot byte walk — find-or-insert picks exactly the slot the scalar
-  // walk picks (first free slot of the probe sequence).
+  // Insert loop, counters included: home groups and H2 fingerprints are
+  // block-hashed for the chunk, control lanes write-prefetched, and each
+  // probe group resolved with one inlined SSE2 control scan
+  // (ht/swiss_scan.h: match/EMPTY/free masks) instead of a 16-slot byte
+  // walk — find-or-insert picks exactly the slot the scalar walk picks
+  // (first free slot of the probe sequence). Never purges.
   void BatchInsert(const MutationBatch<K, V>& batch);
 
   // Batched UpdateValue: ok[i] = key present (value overwritten in place).
@@ -84,11 +103,18 @@ class SwissTable {
   // Removes the key if present. Writes EMPTY when the slot's group already
   // holds an EMPTY byte (no probe sequence can pass fully through such a
   // group), TOMBSTONE otherwise — the abseil deletion rule that preserves
-  // the probe invariant above.
+  // the probe invariant above. After writing a TOMBSTONE it may purge (see
+  // kSwissEmptyFloorDivisor): every tombstone turns back into EMPTY and
+  // live keys MOVE to the first free slot of their probe sequences, so no
+  // slot position read before an Erase survives it. Insert, BatchInsert and
+  // Erase are structural writes and exclude concurrent readers; only
+  // UpdateValue is reader-safe.
   bool Erase(K key);
 
   std::uint64_t size() const { return store_.size(); }
   std::uint64_t capacity() const { return store_.num_slots(); }
+  // TOMBSTONE bytes in the control lane.
+  std::uint64_t tombstones() const { return tombstones_; }
   double load_factor() const {
     return static_cast<double>(size()) / static_cast<double>(capacity());
   }
@@ -105,14 +131,13 @@ class SwissTable {
   const TableStore& store() const { return store_; }
 
   // Snapshot support (ht/table_io.h): raw slot arena, control lane and hash
-  // family. The control lane is reached through store().
+  // family. The control lane is reached through store(). RestoreState
+  // recounts the tombstones of the adopted lane.
   const std::uint8_t* raw_data() const { return store_.data(); }
   std::uint8_t* raw_data_mutable() { return store_.data(); }
   const HashFamily& hash_family() const { return store_.hash(); }
   void RestoreState(const HashFamily& hash, std::uint64_t size,
-                    std::uint64_t seed) {
-    store_.Restore(hash, size, seed);
-  }
+                    std::uint64_t seed);
 
   // Raw slot access for tests. `bucket` is the group index.
   K KeyAt(std::uint64_t bucket, unsigned slot) const {
@@ -136,9 +161,12 @@ class SwissTable {
   bool Locate(K key, std::uint64_t* group, unsigned* slot,
               std::uint32_t* empty_mask = nullptr) const;
 
+  // Erase's in-place tombstone purge (abseil's DropDeletesWithoutResize
+  // for aligned linear group probing; docs/swiss_table.md).
+  void PurgeTombstones();
+
   TableStore store_;
-  // The control-group scan, resolved once at construction (never null).
-  const MutationKernel* mutation_kernel_;
+  std::uint64_t tombstones_ = 0;
   SwissInsertStats stats_;
 };
 

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <vector>
 
 namespace simdht {
 
@@ -63,6 +64,58 @@ struct SwissSnapshotHeader {
   std::uint64_t meta_bytes;      // control lane (mirror excluded)
   std::uint64_t seed;
 };
+
+// Whether a restored Swiss table's control lane is one every SwissTable
+// operation can trust:
+//   * every byte is FULL (0x00..0x7F), EMPTY or TOMBSTONE -- the writer's
+//     scan reads any other byte with its sign bit set as a free slot;
+//   * `size` slots are FULL, each holding a nonzero key whose H2 is its
+//     control byte;
+//   * the probe invariant: no group from a key's home group up to (not
+//     including) its own holds an EMPTY byte, or lookups would miss it.
+// Linear in the slot count: clear[g] is the number of consecutive groups
+// ending at g, walking backwards and wrapping, that hold no EMPTY byte.
+template <typename K, typename V>
+bool SwissLaneValid(const SwissTable<K, V>& table, std::uint64_t size) {
+  const std::uint64_t groups = table.num_buckets();
+  const std::uint64_t mask = groups - 1;
+  std::vector<bool> has_empty(groups, false);
+  std::uint64_t an_empty_group = groups;
+  for (std::uint64_t g = 0; g < groups; ++g) {
+    for (unsigned s = 0; s < kSwissGroupSlots; ++s) {
+      const std::uint8_t c = table.CtrlAt(g * kSwissGroupSlots + s);
+      if (c == kCtrlEmpty) {
+        has_empty[g] = true;
+        an_empty_group = g;
+      } else if (c > kCtrlEmpty && c != kCtrlTombstone) {
+        return false;
+      }
+    }
+  }
+  std::vector<std::uint64_t> clear(groups, groups);
+  if (an_empty_group != groups) {
+    for (std::uint64_t i = 0; i < groups; ++i) {
+      const std::uint64_t g = (an_empty_group + i) & mask;
+      clear[g] = has_empty[g] ? 0 : clear[(g - 1) & mask] + 1;
+    }
+  }
+  const HashFamily& hash = table.hash_family();
+  std::uint64_t full = 0;
+  for (std::uint64_t g = 0; g < groups; ++g) {
+    for (unsigned s = 0; s < kSwissGroupSlots; ++s) {
+      const std::uint8_t c = table.CtrlAt(g * kSwissGroupSlots + s);
+      if (c >= kCtrlEmpty) continue;
+      ++full;
+      const K key = table.KeyAt(g, s);
+      if (key == static_cast<K>(kEmptyKey) || hash.H2<K>(key) != c) {
+        return false;
+      }
+      const std::uint64_t behind = (g - hash.Bucket<K>(0, key)) & mask;
+      if (behind != 0 && clear[(g - 1) & mask] < behind) return false;
+    }
+  }
+  return full == size;
+}
 
 // One cuckoo snapshot (SHTB2) from the storage layer, so tables under
 // either writer policy serialize through the same bytes.
@@ -217,8 +270,7 @@ std::optional<SwissTable<K, V>> LoadSwissTable(std::istream& in) {
   }
   SwissTable<K, V>& table = *maybe_table;
   if (table.table_bytes() != header.data_bytes ||
-      table.store().num_slots() != header.meta_bytes ||
-      header.size > table.store().num_slots()) {
+      table.store().num_slots() != header.meta_bytes) {
     return std::nullopt;  // shape mismatch: corrupt header
   }
 
@@ -236,6 +288,7 @@ std::optional<SwissTable<K, V>> LoadSwissTable(std::istream& in) {
   hash.kind = static_cast<HashKind>(header.hash_kind);
   for (unsigned i = 0; i < kMaxWays; ++i) hash.mult[i] = header.mult[i];
   table.RestoreState(hash, header.size, header.seed);
+  if (!SwissLaneValid(table, header.size)) return std::nullopt;
   return maybe_table;
 }
 

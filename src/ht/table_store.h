@@ -216,9 +216,16 @@ class TableStore {
   // Adopts `num_slots()` snapshot control bytes and rebuilds the mirror
   // (table_io restore; bracketed by the caller like AdoptArena).
   SIMDHT_NO_TSAN void AdoptMeta(const std::uint8_t* src) {
+    std::memcpy(meta_.data(), src, num_slots());
+    RebuildMetaMirror();
+  }
+  // Bulk control-byte writes (the Swiss tombstone purge) go through this
+  // pointer, without keeping the mirror coherent; RebuildMetaMirror() must
+  // follow before any reader or SetCtrl sees the lane.
+  std::uint8_t* mutable_meta_data() { return meta_.data(); }
+  SIMDHT_NO_TSAN void RebuildMetaMirror() {
     std::uint8_t* lane = meta_.data();
     const std::uint64_t slots = num_slots();
-    std::memcpy(lane, src, slots);
     for (std::uint64_t i = 0; i < kMetaMirrorBytes; ++i) {
       lane[slots + i] = lane[i % slots];
     }

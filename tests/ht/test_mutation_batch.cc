@@ -68,18 +68,18 @@ void ExpectSameCuckooState(const Table& scalar, const Table& batch) {
   EXPECT_EQ(a.failed_inserts, b.failed_inserts);
 }
 
+// The registry serves the cuckoo family only: Swiss writes scan their
+// control groups with the inlined ScanSwissGroup (ht/swiss_scan.h).
 TEST(MutationRegistry, HasScalarTwinsForEveryFamily) {
   const MutationRegistry& reg = MutationRegistry::Get();
   EXPECT_NE(reg.ByName("MutScan-Scalar/cuckoo"), nullptr);
-  EXPECT_NE(reg.ByName("MutScan-Scalar/ctrl"), nullptr);
+  EXPECT_EQ(reg.ByName("MutScan-Scalar/ctrl"), nullptr);
+  EXPECT_EQ(reg.ByName("MutScan-SSE/ctrl"), nullptr);
   ASSERT_NE(reg.ForCuckoo(), nullptr);
   ASSERT_NE(reg.ForCuckoo()->cuckoo_scan_for, nullptr);
-  ASSERT_NE(reg.ForSwiss(), nullptr);
-  ASSERT_NE(reg.ForSwiss()->group_scan, nullptr);
   // One cuckoo scan per tier, each serving every cuckoo layout.
   unsigned cuckoo_scans[3] = {0, 0, 0};
   for (const MutationKernel& k : reg.all()) {
-    if (k.family != TableFamily::kCuckoo) continue;
     ASSERT_NE(k.cuckoo_scan_for, nullptr) << k.name;
     ASSERT_LT(static_cast<unsigned>(k.level), 3u) << k.name;
     ++cuckoo_scans[static_cast<unsigned>(k.level)];
@@ -164,7 +164,7 @@ void CheckFusedScanAgreement(unsigned ways, unsigned slots,
   const CpuFeatures& cpu = GetCpuFeatures();
   unsigned checked = 0;
   for (const MutationKernel& k : reg.all()) {
-    if (k.family != TableFamily::kCuckoo || !cpu.Supports(k.level)) continue;
+    if (!cpu.Supports(k.level)) continue;
     ++checked;
     for (std::size_t i = 0; i < cases.size(); ++i) {
       const Case& c = cases[i];
@@ -213,37 +213,6 @@ TEST(MutationKernels, FusedCuckooScansAgreeWithScalar) {
       4, 8, BucketLayout::kSplit);
   CheckFusedScanAgreement<std::uint16_t, std::uint32_t>(
       4, 2, BucketLayout::kSplit);
-}
-
-TEST(MutationKernels, SwissGroupScansAgreeWithScalar) {
-  SwissTable32 table(64, /*seed=*/3);
-  const auto keys = MakeKeys<std::uint32_t>(table.capacity() / 2);
-  const auto vals = MakeVals<std::uint32_t>(keys);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    table.Insert(keys[i], vals[i]);
-  }
-  // Seed some tombstones so free_mask != empty_mask somewhere.
-  for (std::size_t i = 0; i < keys.size(); i += 5) table.Erase(keys[i]);
-  const TableView view = table.view();
-  const MutationRegistry& reg = MutationRegistry::Get();
-  const MutationKernel* scalar = reg.ByName("MutScan-Scalar/ctrl");
-  ASSERT_NE(scalar, nullptr);
-  const CpuFeatures& cpu = GetCpuFeatures();
-  for (const MutationKernel& k : reg.all()) {
-    if (k.family != TableFamily::kSwiss || k.group_scan == nullptr) continue;
-    if (!cpu.Supports(k.level)) continue;
-    for (std::uint64_t g = 0; g < table.num_buckets(); ++g) {
-      const std::uint8_t* ctrl = view.meta + g * kSwissGroupSlots;
-      for (const std::uint8_t h2 : {std::uint8_t{0}, std::uint8_t{0x3A},
-                                    view.meta[g * kSwissGroupSlots]}) {
-        const GroupScan want = scalar->group_scan(ctrl, h2);
-        const GroupScan got = k.group_scan(ctrl, h2);
-        ASSERT_EQ(want.match_mask, got.match_mask) << k.name << " g" << g;
-        ASSERT_EQ(want.empty_mask, got.empty_mask) << k.name << " g" << g;
-        ASSERT_EQ(want.free_mask, got.free_mask) << k.name << " g" << g;
-      }
-    }
-  }
 }
 
 template <typename K, typename V>
@@ -519,6 +488,25 @@ TEST(MutationBatch, FailedInsertsMatchScalarWhenRebuildDisabled) {
   EXPECT_GT(batch.insert_stats().failed_inserts, 0u);
 }
 
+void ExpectSameSwissState(const SwissTable32& scalar,
+                          const SwissTable32& batch) {
+  ASSERT_EQ(scalar.size(), batch.size());
+  EXPECT_EQ(std::memcmp(scalar.raw_data(), batch.raw_data(),
+                        scalar.table_bytes()),
+            0);
+  EXPECT_EQ(std::memcmp(scalar.store().meta_data(), batch.store().meta_data(),
+                        scalar.store().meta_bytes()),
+            0);
+  EXPECT_EQ(scalar.tombstones(), batch.tombstones());
+  const SwissInsertStats& a = scalar.insert_stats();
+  const SwissInsertStats& b = batch.insert_stats();
+  EXPECT_EQ(a.inserts, b.inserts);
+  EXPECT_EQ(a.updates, b.updates);
+  EXPECT_EQ(a.tombstone_reuses, b.tombstone_reuses);
+  EXPECT_EQ(a.failed_inserts, b.failed_inserts);
+  EXPECT_EQ(a.purges, b.purges);
+}
+
 TEST(MutationBatch, SwissEquivalence) {
   SwissTable32 scalar(64, /*seed=*/9);
   SwissTable32 batch(64, /*seed=*/9);
@@ -533,23 +521,14 @@ TEST(MutationBatch, SwissEquivalence) {
   batch.BatchInsert(MutationBatch<std::uint32_t, std::uint32_t>::Of(
       keys.data(), vals.data(), got_ok.data(), n));
   EXPECT_EQ(want_ok, got_ok);
-  ASSERT_EQ(scalar.size(), batch.size());
-  EXPECT_EQ(std::memcmp(scalar.raw_data(), batch.raw_data(),
-                        scalar.table_bytes()),
-            0);
-  for (std::uint64_t s = 0; s < scalar.capacity(); ++s) {
-    ASSERT_EQ(scalar.CtrlAt(s), batch.CtrlAt(s)) << "ctrl slot " << s;
-  }
-  EXPECT_EQ(scalar.insert_stats().inserts, batch.insert_stats().inserts);
-  EXPECT_EQ(scalar.insert_stats().updates, batch.insert_stats().updates);
-  EXPECT_EQ(scalar.insert_stats().failed_inserts,
-            batch.insert_stats().failed_inserts);
+  ExpectSameSwissState(scalar, batch);
 
   // Erase a stripe (creates tombstones), then re-insert + update batched.
   for (std::size_t i = 0; i < n; i += 3) {
     scalar.Erase(keys[i]);
     batch.Erase(keys[i]);
   }
+  ASSERT_GT(batch.tombstones(), 0u);
   auto vals2 = vals;
   for (auto& v : vals2) v += 17;
   for (std::size_t i = 0; i < n; ++i) {
@@ -558,14 +537,43 @@ TEST(MutationBatch, SwissEquivalence) {
   batch.BatchInsert(MutationBatch<std::uint32_t, std::uint32_t>::Of(
       keys.data(), vals2.data(), got_ok.data(), n));
   EXPECT_EQ(want_ok, got_ok);
-  EXPECT_EQ(scalar.insert_stats().tombstone_reuses,
-            batch.insert_stats().tombstone_reuses);
-  EXPECT_EQ(std::memcmp(scalar.raw_data(), batch.raw_data(),
-                        scalar.table_bytes()),
-            0);
-  for (std::uint64_t s = 0; s < scalar.capacity(); ++s) {
-    ASSERT_EQ(scalar.CtrlAt(s), batch.CtrlAt(s)) << "ctrl slot " << s;
+  EXPECT_GT(batch.insert_stats().tombstone_reuses, 0u);
+  ExpectSameSwissState(scalar, batch);
+
+  // Fill to a few EMPTY slots short of full, then erase a stripe: the
+  // twins' erases drive the EMPTY share under the floor and purge. The
+  // batched re-insert then lands on the purged lane.
+  const auto fill = MakeKeys<std::uint32_t>(
+      scalar.capacity() - scalar.size() - 8, /*salt=*/5000);
+  const auto fill_vals = MakeVals<std::uint32_t>(fill);
+  for (std::size_t i = 0; i < fill.size(); ++i) {
+    scalar.Insert(fill[i], fill_vals[i]);
   }
+  batch.BatchInsert(MutationBatch<std::uint32_t, std::uint32_t>::Of(
+      fill.data(), fill_vals.data(), nullptr, fill.size()));
+  ExpectSameSwissState(scalar, batch);
+  ASSERT_EQ(batch.insert_stats().purges, 0u);
+  std::vector<std::uint32_t> erased;
+  for (std::size_t i = 1; i < n; i += 4) {
+    ASSERT_TRUE(scalar.Erase(keys[i]));
+    ASSERT_TRUE(batch.Erase(keys[i]));
+    erased.push_back(keys[i]);
+  }
+  ASSERT_GE(batch.insert_stats().purges, 1u);
+  ASSERT_GT(batch.tombstones(), 0u);  // erases after the purge
+  ExpectSameSwissState(scalar, batch);
+  const auto vals3 = MakeVals<std::uint32_t>(erased);
+  want_ok.assign(erased.size(), 0);
+  got_ok.assign(erased.size(), 0);
+  const std::uint64_t reuses = batch.insert_stats().tombstone_reuses;
+  for (std::size_t i = 0; i < erased.size(); ++i) {
+    want_ok[i] = scalar.Insert(erased[i], vals3[i]) ? 1 : 0;
+  }
+  batch.BatchInsert(MutationBatch<std::uint32_t, std::uint32_t>::Of(
+      erased.data(), vals3.data(), got_ok.data(), erased.size()));
+  EXPECT_EQ(want_ok, got_ok);
+  EXPECT_GT(batch.insert_stats().tombstone_reuses, reuses);
+  ExpectSameSwissState(scalar, batch);
 
   std::vector<std::uint32_t> missing = {1234567u, 7654321u};
   std::vector<std::uint32_t> mvals = {1u, 2u};

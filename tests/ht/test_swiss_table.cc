@@ -1,18 +1,112 @@
-// SwissTable semantics: probe-invariant maintenance, tombstone handling,
-// and the single-writer/concurrent-reader UpdateValue contract.
+// SwissTable semantics: the inline group scan, probe-invariant
+// maintenance, tombstone handling and the in-place purge under sustained
+// churn, and the single-writer/concurrent-reader UpdateValue contract.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/random.h"
+#include "ht/swiss_scan.h"
 #include "ht/swiss_table.h"
 #include "ht/table_builder.h"
+#include "ht/table_io.h"
 
 namespace simdht {
 namespace {
+
+// Byte-wise reference for ScanSwissGroup.
+GroupScan ReferenceGroupScan(const std::uint8_t* ctrl, std::uint8_t h2) {
+  GroupScan r;
+  for (unsigned s = 0; s < kSwissGroupSlots; ++s) {
+    const std::uint32_t bit = 1u << s;
+    if (ctrl[s] == h2) r.match_mask |= bit;
+    if (ctrl[s] == kCtrlEmpty) r.empty_mask |= bit;
+    if (ctrl[s] == kCtrlEmpty || ctrl[s] == kCtrlTombstone) {
+      r.free_mask |= bit;
+    }
+  }
+  return r;
+}
+
+// Every valid control byte (FULL 0x00..0x7F, EMPTY, TOMBSTONE) in every
+// slot position, against every H2, over uniform and random backgrounds.
+TEST(SwissGroupScan, MatchesByteReference) {
+  std::vector<std::uint8_t> valid;
+  for (unsigned c = 0; c < kCtrlEmpty; ++c) {
+    valid.push_back(static_cast<std::uint8_t>(c));
+  }
+  valid.push_back(kCtrlEmpty);
+  valid.push_back(kCtrlTombstone);
+  Xoshiro256 rng(13);
+  std::uint8_t group[kSwissGroupSlots];
+  for (int background = 0; background < 5; ++background) {
+    for (std::uint8_t& c : group) {
+      c = background == 0   ? kCtrlEmpty
+          : background == 1 ? kCtrlTombstone
+          : background == 2 ? std::uint8_t{0x2A}
+                            : valid[rng.NextBounded(valid.size())];
+    }
+    for (unsigned pos = 0; pos < kSwissGroupSlots; ++pos) {
+      const std::uint8_t saved = group[pos];
+      for (const std::uint8_t c : valid) {
+        group[pos] = c;
+        for (unsigned h2 = 0; h2 < kCtrlEmpty; ++h2) {
+          const auto probe = static_cast<std::uint8_t>(h2);
+          const GroupScan want = ReferenceGroupScan(group, probe);
+          const GroupScan got = ScanSwissGroup(group, probe);
+          ASSERT_EQ(want.match_mask, got.match_mask)
+              << "pos " << pos << " byte " << int{c} << " h2 " << h2;
+          ASSERT_EQ(want.empty_mask, got.empty_mask)
+              << "pos " << pos << " byte " << int{c};
+          ASSERT_EQ(want.free_mask, got.free_mask)
+              << "pos " << pos << " byte " << int{c};
+        }
+      }
+      group[pos] = saved;
+    }
+  }
+}
+
+// Walks every FULL slot of the lane and checks invariant I (swiss_table.h):
+// no group from the key's home group up to its resting group holds an
+// EMPTY byte. Also checks what the lane implies for the table's counters
+// and that the mirror tail repeats the lane start.
+template <typename K, typename V>
+void ExpectLaneInvariants(const SwissTable<K, V>& table) {
+  const std::uint64_t groups = table.num_buckets();
+  const HashFamily& hash = table.hash_family();
+  std::uint64_t full = 0, tombstones = 0;
+  for (std::uint64_t g = 0; g < groups; ++g) {
+    for (unsigned s = 0; s < kSwissGroupSlots; ++s) {
+      const std::uint8_t c = table.CtrlAt(g * kSwissGroupSlots + s);
+      tombstones += c == kCtrlTombstone;
+      if (c >= kCtrlEmpty) continue;
+      ++full;
+      const K key = table.KeyAt(g, s);
+      ASSERT_EQ(hash.H2<K>(key), c) << "group " << g << " slot " << s;
+      for (std::uint64_t h = hash.Bucket<K>(0, key); h != g;
+           h = (h + 1) & (groups - 1)) {
+        for (unsigned t = 0; t < kSwissGroupSlots; ++t) {
+          ASSERT_NE(table.CtrlAt(h * kSwissGroupSlots + t), kCtrlEmpty)
+              << "EMPTY before key " << key << " in group " << h;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(full, table.size());
+  EXPECT_EQ(tombstones, table.tombstones());
+  const std::uint8_t* lane = table.store().meta_data();
+  for (unsigned i = 0; i < kMetaMirrorBytes; ++i) {
+    ASSERT_EQ(lane[table.capacity() + i], lane[i % table.capacity()])
+        << "mirror byte " << i;
+  }
+}
 
 TEST(SwissTable, InsertThenFind) {
   SwissTable32 table(64);
@@ -154,31 +248,171 @@ TEST(SwissTable, ProbeInvariantHoldsUnderChurn) {
     ASSERT_EQ(v, val) << key;
   }
   EXPECT_EQ(table.size(), model.size());
-  // Direct invariant check over the control lane: walk every stored key's
-  // probe path and require no EMPTY before its resting group.
+  ExpectLaneInvariants(table);
+}
+
+// Groups a probe for the absent `key` visits: from its home group through
+// the first group holding an EMPTY byte (all of them if none does).
+std::uint64_t MissProbeGroups(const SwissTable32& table, std::uint32_t key) {
   const std::uint64_t groups = table.num_buckets();
-  for (const auto& [key, val] : model) {
-    // Recover the resting group by scanning all slots for the key.
-    std::uint64_t resting = groups;
-    for (std::uint64_t g = 0; g < groups && resting == groups; ++g) {
-      for (unsigned s = 0; s < kSwissGroupSlots; ++s) {
-        if (table.CtrlAt(g * kSwissGroupSlots + s) < 0x80 &&
-            table.KeyAt(g, s) == key) {
-          resting = g;
-          break;
-        }
+  std::uint64_t g = table.hash_family().Bucket<std::uint32_t>(0, key);
+  for (std::uint64_t visited = 1; visited <= groups; ++visited) {
+    for (unsigned s = 0; s < kSwissGroupSlots; ++s) {
+      if (table.CtrlAt(g * kSwissGroupSlots + s) == kCtrlEmpty) {
+        return visited;
       }
     }
-    ASSERT_LT(resting, groups) << key;
-    const HashFamily& hash = table.hash_family();
-    for (std::uint64_t g = hash.Bucket<std::uint32_t>(0, key); g != resting;
-         g = (g + 1) & (groups - 1)) {
-      for (unsigned s = 0; s < kSwissGroupSlots; ++s) {
-        ASSERT_NE(table.CtrlAt(g * kSwissGroupSlots + s), kCtrlEmpty)
-            << "EMPTY before key " << key << " in group " << g;
+    g = (g + 1) & (groups - 1);
+  }
+  return groups;
+}
+
+// Scrambles churn ids into keys, like the benchmark's key space: a
+// bijection on uint32 that maps only 0 to 0.
+std::uint32_t ChurnKey(std::uint32_t id) {
+  id ^= id >> 16;
+  id *= 0x7FEB352Du;
+  id ^= id >> 15;
+  id *= 0x846CA68Bu;
+  id ^= id >> 16;
+  return id;
+}
+
+// Sustained churn on one table, never rebuilt: each step inserts the keys
+// of the next 64 ids with one BatchInsert and erases the 64 oldest, so
+// every cycle replaces the whole live set. Without the purge the EMPTY
+// share only falls, and missing-key probes grow to whole-table scans
+// within a few cycles.
+void ChurnSoak(HashKind kind) {
+  SCOPED_TRACE(kind == HashKind::kWyHash ? "wyhash" : "multiply-shift");
+  constexpr std::size_t kStep = 64;
+  constexpr int kCycles = 8;
+  SwissTable32 table(1024, /*seed=*/41, kind);  // 16 Ki slots
+  const std::uint64_t cap = table.capacity();
+  const std::uint64_t live =
+      static_cast<std::uint64_t>(0.8 * static_cast<double>(cap)) / kStep *
+      kStep;
+  auto val_of = [](std::uint32_t key) { return key * 7 + 1; };
+  std::uint32_t keys[kStep], vals[kStep];
+  std::uint8_t ok[kStep];
+  std::uint32_t lo = 1, hi = 1;  // live ids are [lo, hi)
+  auto insert_next = [&] {
+    for (std::size_t i = 0; i < kStep; ++i) {
+      keys[i] = ChurnKey(hi + static_cast<std::uint32_t>(i));
+      vals[i] = val_of(keys[i]);
+    }
+    table.BatchInsert(MutationBatch<std::uint32_t, std::uint32_t>::Of(
+        keys, vals, ok, kStep));
+    for (std::size_t i = 0; i < kStep; ++i) ASSERT_EQ(ok[i], 1) << keys[i];
+    hi += kStep;
+  };
+  while (hi - lo < live) insert_next();
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    SCOPED_TRACE("cycle " + std::to_string(cycle));
+    for (std::uint64_t step = 0; step < live / kStep; ++step) {
+      insert_next();
+      for (std::size_t i = 0; i < kStep; ++i) {
+        ASSERT_TRUE(table.Erase(ChurnKey(lo++)));
       }
+    }
+    if (cycle == 0) EXPECT_EQ(table.insert_stats().purges, 0u);
+    ASSERT_EQ(table.size(), live);
+    std::uint64_t empty = 0;
+    for (std::uint64_t s = 0; s < cap; ++s) {
+      empty += table.CtrlAt(s) == kCtrlEmpty;
+    }
+    EXPECT_GE(empty * kSwissEmptyFloorDivisor, cap) << "EMPTY " << empty;
+    std::uint64_t probed = 0;
+    constexpr std::uint32_t kMisses = 1024;
+    for (std::uint32_t i = 0; i < kMisses; ++i) {
+      probed += MissProbeGroups(table, ChurnKey(0x40000000u + i));
+    }
+    EXPECT_LE(probed, 32u * kMisses) << "mean groups per missing-key probe";
+    for (std::uint32_t id = lo; id < hi; ++id) {
+      std::uint32_t v = 0;
+      ASSERT_TRUE(table.Find(ChurnKey(id), &v)) << id;
+      ASSERT_EQ(v, val_of(ChurnKey(id))) << id;
+    }
+    for (std::uint32_t id = lo - static_cast<std::uint32_t>(live); id < lo;
+         ++id) {
+      std::uint32_t v = 0;
+      ASSERT_FALSE(table.Find(ChurnKey(id), &v)) << id;
+    }
+    ExpectLaneInvariants(table);
+  }
+  EXPECT_GE(table.insert_stats().purges, 1u);
+}
+
+TEST(SwissTable, ChurnSoakKeepsProbesShort) {
+  ChurnSoak(HashKind::kMultiplyShift);
+  ChurnSoak(HashKind::kWyHash);
+}
+
+// Random churn near 0.9 occupancy against a std::unordered_map oracle.
+// After each purge every oracle key is found with its value, erased keys
+// miss, the lane is consistent, and a snapshot round trip reproduces the
+// purged table byte for byte.
+TEST(SwissTable, PurgeMatchesOracle) {
+  SwissTable32 table(32, /*seed=*/5);  // 512 slots
+  const std::uint64_t target = table.capacity() * 9 / 10;
+  Xoshiro256 rng(7);
+  std::unordered_map<std::uint32_t, std::uint32_t> model;
+  std::vector<std::uint32_t> live, erased;
+  std::uint64_t purges = 0;
+  for (int step = 0; step < 200000 && purges < 4; ++step) {
+    if (live.size() < target) {
+      const auto key = static_cast<std::uint32_t>(rng.NextBounded(1 << 20)) + 1;
+      const auto val = static_cast<std::uint32_t>(rng.Next());
+      ASSERT_TRUE(table.Insert(key, val));
+      if (model.emplace(key, val).second) {
+        live.push_back(key);
+      } else {
+        model[key] = val;
+      }
+      continue;
+    }
+    const std::size_t i = rng.NextBounded(live.size());
+    ASSERT_TRUE(table.Erase(live[i]));
+    model.erase(live[i]);
+    erased.push_back(live[i]);
+    live[i] = live.back();
+    live.pop_back();
+    if (table.insert_stats().purges == purges) continue;
+    purges = table.insert_stats().purges;
+    SCOPED_TRACE("purge " + std::to_string(purges));
+    EXPECT_EQ(table.tombstones(), 0u);
+    ASSERT_EQ(table.size(), model.size());
+    for (const auto& [key, val] : model) {
+      std::uint32_t v = 0;
+      ASSERT_TRUE(table.Find(key, &v)) << key;
+      ASSERT_EQ(v, val) << key;
+    }
+    for (const std::uint32_t key : erased) {
+      std::uint32_t v = 0;
+      if (model.count(key) == 0) ASSERT_FALSE(table.Find(key, &v)) << key;
+    }
+    ExpectLaneInvariants(table);
+
+    std::stringstream stream;
+    ASSERT_TRUE(SaveSwissTable(table, stream));
+    auto loaded = LoadSwissTable<std::uint32_t, std::uint32_t>(stream);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->size(), table.size());
+    EXPECT_EQ(loaded->tombstones(), 0u);
+    EXPECT_EQ(std::memcmp(loaded->raw_data(), table.raw_data(),
+                          table.table_bytes()),
+              0);
+    EXPECT_EQ(std::memcmp(loaded->store().meta_data(),
+                          table.store().meta_data(),
+                          table.store().meta_bytes()),
+              0);
+    for (const auto& [key, val] : model) {
+      std::uint32_t v = 0;
+      ASSERT_TRUE(loaded->Find(key, &v)) << key;
+      ASSERT_EQ(v, val) << key;
     }
   }
+  EXPECT_EQ(purges, 4u);
 }
 
 TEST(SwissTable, WyHashFamilyEndToEnd) {

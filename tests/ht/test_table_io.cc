@@ -1,6 +1,7 @@
 // Snapshot round-trip tests, unsharded and sharded.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -126,6 +127,8 @@ TEST(TableIo, SwissRoundTripPreservesEverything) {
   for (std::uint64_t s = 0; s < original.store().num_slots(); ++s) {
     ASSERT_EQ(original.CtrlAt(s), loaded->CtrlAt(s)) << "slot " << s;
   }
+  ASSERT_GT(original.tombstones(), 0u);
+  EXPECT_EQ(loaded->tombstones(), original.tombstones());
   EXPECT_EQ(std::memcmp(original.raw_data(), loaded->raw_data(),
                         original.table_bytes()),
             0);
@@ -196,6 +199,104 @@ TEST(TableIo, SwissRejectsWrongWidthsAndCorruption) {
     EXPECT_FALSE(
         (LoadSwissTable<std::uint32_t, std::uint32_t>(in)).has_value());
   }
+
+  // Lane corruptions. The arena and the control lane end the snapshot; the
+  // header's size field follows the magic and four u32 fields.
+  const std::size_t lane_at = bytes.size() - original.capacity();
+  const std::size_t arena_at = lane_at - original.table_bytes();
+  constexpr std::size_t kSizeAt = 24;
+  std::uint64_t slot = 0;
+  while (original.CtrlAt(slot) >= kCtrlEmpty) ++slot;
+  const std::uint64_t group = slot / kSwissGroupSlots;
+  const auto in_group = static_cast<unsigned>(slot % kSwissGroupSlots);
+  const TableView view = original.view();
+  auto key_at = [&](std::uint64_t g, unsigned s) {
+    return arena_at + static_cast<std::size_t>(view.key_ptr(g, s) - view.data);
+  };
+  auto val_at = [&](std::uint64_t g, unsigned s) {
+    return arena_at + static_cast<std::size_t>(view.val_ptr(g, s) - view.data);
+  };
+  auto rejected = [](const std::string& corrupt) {
+    std::stringstream in(corrupt);
+    return !LoadSwissTable<std::uint32_t, std::uint32_t>(in).has_value();
+  };
+  ASSERT_FALSE(rejected(bytes));
+  // A byte that is neither FULL, EMPTY nor TOMBSTONE: the writer's sign-bit
+  // free mask would read 0x90 as a free slot and overwrite it.
+  {
+    std::string corrupt = bytes;
+    corrupt[lane_at + (slot + 1) % original.capacity()] = '\x90';
+    EXPECT_TRUE(rejected(corrupt)) << "control byte 0x90";
+  }
+  // header.size differs from the number of FULL bytes.
+  {
+    std::string corrupt = bytes;
+    corrupt[kSizeAt] = 2;
+    EXPECT_TRUE(rejected(corrupt)) << "size 2 with one FULL byte";
+  }
+  // A FULL slot holding key 0.
+  {
+    std::string corrupt = bytes;
+    std::memset(&corrupt[key_at(group, in_group)], 0, sizeof(std::uint32_t));
+    EXPECT_TRUE(rejected(corrupt)) << "FULL slot with key 0";
+  }
+  // A FULL byte that is not the key's H2.
+  {
+    std::string corrupt = bytes;
+    corrupt[lane_at + slot] = static_cast<char>(original.CtrlAt(slot) ^ 1);
+    EXPECT_TRUE(rejected(corrupt)) << "control byte is not the key's H2";
+  }
+  // The key moved one group past its home, which holds EMPTY bytes: the
+  // probe invariant is broken and lookups would miss the key.
+  {
+    std::string corrupt = bytes;
+    const std::uint64_t next = (group + 1) % original.num_buckets();
+    corrupt[lane_at + next * kSwissGroupSlots] = corrupt[lane_at + slot];
+    corrupt[lane_at + slot] = static_cast<char>(kCtrlEmpty);
+    std::memcpy(&corrupt[key_at(next, 0)], &bytes[key_at(group, in_group)],
+                sizeof(std::uint32_t));
+    std::memcpy(&corrupt[val_at(next, 0)], &bytes[val_at(group, in_group)],
+                sizeof(std::uint32_t));
+    std::memset(&corrupt[key_at(group, in_group)], 0, sizeof(std::uint32_t));
+    EXPECT_TRUE(rejected(corrupt)) << "EMPTY between home and resting group";
+  }
+}
+
+// A full table with one tombstone short of the purge minimum: the loader
+// recounts the tombstones, so the next erase purges the loaded table just
+// as it purges the original.
+TEST(TableIo, SwissLoadedTombstonesPurgeWhenChurned) {
+  SwissTable32 original(16, /*seed=*/3);  // 256 slots
+  const std::uint64_t cap = original.capacity();
+  for (std::uint32_t key = 1; original.size() < cap; ++key) {
+    ASSERT_TRUE(original.Insert(key, key));
+  }
+  // No EMPTY byte is left, so every erase writes a TOMBSTONE.
+  const std::uint64_t min_tombstones =
+      std::max<std::uint64_t>(kSwissGroupSlots,
+                              cap / kSwissPurgeTombstoneDivisor);
+  std::uint32_t key = 1;
+  while (original.tombstones() + 1 < min_tombstones) {
+    ASSERT_TRUE(original.Erase(key++));
+  }
+  ASSERT_EQ(original.insert_stats().purges, 0u);
+
+  std::stringstream stream;
+  ASSERT_TRUE(SaveSwissTable(original, stream));
+  auto loaded = LoadSwissTable<std::uint32_t, std::uint32_t>(stream);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->tombstones(), original.tombstones());
+  ASSERT_TRUE(original.Erase(key));
+  ASSERT_TRUE(loaded->Erase(key));
+  EXPECT_EQ(original.insert_stats().purges, 1u);
+  EXPECT_EQ(loaded->insert_stats().purges, 1u);
+  EXPECT_EQ(loaded->tombstones(), 0u);
+  EXPECT_EQ(std::memcmp(original.raw_data(), loaded->raw_data(),
+                        original.table_bytes()),
+            0);
+  EXPECT_EQ(std::memcmp(original.store().meta_data(),
+                        loaded->store().meta_data(), cap),
+            0);
 }
 
 TEST(TableIo, SwissFileRoundTrip) {

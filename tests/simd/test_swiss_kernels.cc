@@ -3,7 +3,9 @@
 // tombstoned tables, erased keys and tables smaller than one vector window.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/cpu_features.h"
@@ -111,6 +113,42 @@ TEST(SwissKernels, MatchScalarAfterEraseChurn) {
   // Reinsert over the tombstones and re-check.
   for (std::uint32_t key : erased) ASSERT_TRUE(table.Insert(key, key + 1));
   ExpectAllKernelsAgree(table, queries);
+}
+
+// FIFO churn until Erase has purged the lane several times; after each
+// purge every kernel must agree with the scalar twin on live, erased and
+// never-inserted keys. The 4-group table is no wider than one AVX-512
+// window, so wide kernels read the mirror the purge rebuilt. Occupancy is
+// 0.9, or lower where the table could not otherwise hold the purge's
+// minimum of one group of tombstones besides the EMPTY floor.
+TEST(SwissKernels, MatchScalarAfterPurge) {
+  for (const std::uint64_t groups : {std::uint64_t{4}, std::uint64_t{64}}) {
+    SCOPED_TRACE(std::to_string(groups) + " groups");
+    SwissTable32 table(groups, /*seed=*/43, HashKind::kWyHash);
+    const std::uint64_t cap = table.capacity();
+    const std::uint64_t live =
+        std::min(cap * 9 / 10, cap - 2 * kSwissGroupSlots);
+    std::uint32_t lo = 1, hi = 1;  // live keys are [lo, hi)
+    std::uint64_t purges = 0;
+    while (purges < 3) {
+      ASSERT_LT(hi, 1u << 20) << "no purge";
+      ASSERT_TRUE(table.Insert(hi, hi * 5));
+      ++hi;
+      if (hi - lo <= live) continue;
+      ASSERT_TRUE(table.Erase(lo++));
+      if (table.insert_stats().purges == purges) continue;
+      purges = table.insert_stats().purges;
+      std::vector<std::uint32_t> queries;
+      for (std::uint32_t k = lo; k < hi; ++k) queries.push_back(k);
+      for (std::uint32_t k = lo > 256 ? lo - 256 : 1; k < lo; ++k) {
+        queries.push_back(k);
+      }
+      for (std::uint32_t k = 1u << 30; k < (1u << 30) + 512; ++k) {
+        queries.push_back(k);
+      }
+      ExpectAllKernelsAgree(table, queries);
+    }
+  }
 }
 
 TEST(SwissKernels, MatchScalarOnTinyTable) {

@@ -10,12 +10,15 @@
 // end-to-end latency vs MemC3; the two SIMD designs are near-identical
 // end-to-end because the scalar full-key verification step dominates the
 // residual lookup cost.
+#include <cstdio>
 #include <memory>
+#include <string>
 
 #include "bench_common.h"
 #include "kvs/loadgen.h"
 #include "kvs/memc3_backend.h"
 #include "kvs/simd_backend.h"
+#include "obs/timeline.h"
 #include "perf/metrics.h"
 
 using namespace simdht;
@@ -26,7 +29,7 @@ int main(int argc, char** argv) {
   PrintHeader("Fig 11: RDMA-Memcached Multi-Get with SIMD-aware HT", opt);
   ReportSession session(opt, "Fig 11: KVS Multi-Get with SIMD-aware HT");
 
-  MemslapConfig config;
+  LoadgenConfig config;
   // Each client pairs with a dedicated server worker (2 threads per
   // client). The paper undersubscribes (26 workers on 28 cores); mirror
   // that so phase timers are not inflated by preemption.
@@ -40,8 +43,9 @@ int main(int argc, char** argv) {
   config.val_size = 32;   // paper: 32 B values
   config.hit_rate = 0.95;
   config.zipf = true;     // mutilate-like skew
-  config.wire = WireModel::InfinibandEdr();
   config.seed = opt.seed;
+  // Under --timeline, traced requests carry the server's phase spans.
+  if (Timeline::Global().enabled()) config.trace_sample = 16;
 
   const std::uint64_t ht_entries = config.num_keys * 2;
   const std::size_t mem_limit = std::size_t{2} << 30;
@@ -82,8 +86,8 @@ int main(int argc, char** argv) {
   TablePrinter fig11b({"batch", "backend", "pre-process us/req",
                        "HT lookup us/req", "post-process us/req",
                        "total us/req", "lookup share"});
-  // --perf: per-phase tail latencies from the server's MetricsRegistry —
-  // the seqlock histograms see every request, not just the means.
+  // --perf: per-phase tail latencies from the registry handed to the
+  // server — its histograms see every request, not just the means.
   TablePrinter phase_tails({"batch", "backend", "phase", "p50 us", "p95 us",
                             "p99 us", "p999 us", "max us"});
 
@@ -97,7 +101,9 @@ int main(int argc, char** argv) {
       // poisoned by one scheduler stall; keep the run with the highest
       // server-side throughput (the least-perturbed one).
       const unsigned runs = opt.quick ? 3 : 5;
-      MemslapResult r;
+      LoadgenResult r;
+      StatsPairs server;
+      double mops = 0;
       MetricsSnapshot metrics;
       for (unsigned rerun = 0; rerun < runs; ++rerun) {
         auto backend = candidate.make(ht_entries, mem_limit);
@@ -105,23 +111,33 @@ int main(int argc, char** argv) {
         // kept run.
         auto registry = opt.perf.enabled ? std::make_unique<MetricsRegistry>()
                                          : nullptr;
-        MemslapResult attempt =
-            RunMemslap(backend.get(), config, registry.get());
-        if (rerun == 0 || attempt.server_get_mops > r.server_get_mops) {
+        LoadgenResult attempt;
+        {
+          SimCluster sim({backend.get()}, config.clients,
+                         WireModel::InfinibandEdr(), registry.get());
+          std::string err;
+          if (!RunLoadgen(config, sim.links(), &attempt, &err)) {
+            std::fprintf(stderr, "fig11: %s\n", err.c_str());
+            return 1;
+          }
+        }
+        const double attempt_mops = ServerGetMops(attempt.server_stats[0]);
+        if (rerun == 0 || attempt_mops > mops) {
+          mops = attempt_mops;
+          server = attempt.server_stats[0];
           r = std::move(attempt);
           if (registry) metrics = registry->Aggregate();
         }
       }
       if (&candidate == &candidates[0]) {
-        memc3_mops = r.server_get_mops;
+        memc3_mops = mops;
         memc3_lat = r.mget_p50_us;
       }
       fig11a.AddRow(
           {TablePrinter::Fmt(std::int64_t{batch}), candidate.label,
-           TablePrinter::Fmt(r.server_get_mops, 2),
-           memc3_mops > 0
-               ? TablePrinter::Fmt(r.server_get_mops / memc3_mops, 2) + "x"
-               : "-",
+           TablePrinter::Fmt(mops, 2),
+           memc3_mops > 0 ? TablePrinter::Fmt(mops / memc3_mops, 2) + "x"
+                          : "-",
            TablePrinter::Fmt(r.mget_mean_us, 1),
            TablePrinter::Fmt(r.mget_p50_us, 1),
            TablePrinter::Fmt(r.mget_p99_us, 1),
@@ -131,14 +147,15 @@ int main(int argc, char** argv) {
                      (1.0 - r.mget_p50_us / memc3_lat) * 100.0, 1) +
                      "% lower"
                : "-"});
-      const double pre = r.phases.MeanPreNs() / 1e3;
-      const double lookup = r.phases.MeanLookupNs() / 1e3;
-      const double post = r.phases.MeanPostNs() / 1e3;
-      const double total = r.phases.MeanTotalNs() / 1e3;
+      // One channel carries one client's requests, so every batch is one
+      // request and the per-batch phase means are per-request means.
+      const double pre = FindStat(server, "parse_ns.mean") / 1e3;
+      const double lookup = FindStat(server, "index_probe_ns.mean") / 1e3;
+      const double post = FindStat(server, "value_copy_ns.mean") / 1e3;
+      const double total = pre + lookup + post;
       session.AddRow(candidate.label,
                      {{"batch", std::to_string(batch)}},
-                     {{"server_get_mops",
-                       ReportSession::Stat(r.server_get_mops)},
+                     {{"server_get_mops", ReportSession::Stat(mops)},
                       {"mget_mean_us", ReportSession::Stat(r.mget_mean_us)},
                       {"mget_p50_us", ReportSession::Stat(r.mget_p50_us)},
                       {"mget_p99_us", ReportSession::Stat(r.mget_p99_us)},

@@ -2,19 +2,19 @@
 //
 // The fig11 bench measures the KVS through the simulated transport
 // (kvs/transport.h's in-process Channel with a wire-delay model). This
-// binary runs the same Multi-Get workload through a selectable transport:
+// binary runs one Multi-Get workload — the same RunLoadgen driver, the same
+// schedule and the same request core on the server side — through a
+// selectable transport, so the two rows differ only in how frames move:
 //
-//   --transport=sim   RunMemslap over the simulated Channel — the exact
-//                     code path fig11 uses, kept bit-compatible so the two
-//                     binaries stay comparable.
-//   --transport=tcp   in-process KvTcpServer cluster on loopback sockets,
-//                     driven by the open-loop RunTcpLoadgen harness. Extra
-//                     columns report the achieved rate and the
-//                     cross-connection batch occupancy the epoll server
-//                     reached (kvs.net.batch_connections.max).
+//   --transport=sim   simulated KvServers, one channel per driver thread
+//                     per server over the modeled EDR wire (SimCluster).
+//   --transport=tcp   in-process KvTcpServers on loopback sockets; the
+//                     epoll server batches across connections, which the
+//                     `batch occ max` column shows (batch_connections.max).
 //
-// TCP-mode knobs: --servers=N (cluster size), --conns=N (driver threads),
-// --qps=R + --arrival=uniform|poisson|closed (open-loop rate), --mget=K.
+// Knobs for both arms: --servers=N (cluster size), --conns=N (driver
+// threads), --qps=R + --arrival=uniform|poisson|closed (open-loop rate),
+// --mget=K.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -26,7 +26,7 @@
 #include "kvs/memc3_backend.h"
 #include "kvs/simd_backend.h"
 #include "net/kv_tcp_server.h"
-#include "net/open_loop.h"
+#include "net/tcp_link.h"
 
 using namespace simdht;
 using namespace simdht::bench;
@@ -58,13 +58,6 @@ const Candidate kCandidates[] = {
      },
      SimdLevel::kAvx512},
 };
-
-double StatValue(const StatsPairs& stats, const std::string& name) {
-  for (const auto& [key, value] : stats) {
-    if (key == name) return value;
-  }
-  return 0.0;
-}
 
 }  // namespace
 
@@ -103,75 +96,57 @@ int main(int argc, char** argv) {
   for (const Candidate& candidate : kCandidates) {
     if (!GetCpuFeatures().Supports(candidate.needs)) continue;
 
-    if (transport == "sim") {
-      // Bit-compatible with fig11: same RunMemslap driver, same simulated
-      // wire model, closed-loop paper protocol.
-      MemslapConfig config;
-      config.clients = opt.threads ? opt.threads : 2;
-      config.num_keys = num_keys;
-      config.requests_per_client = requests_per_client;
-      config.mget_size = mget;
-      config.seed = opt.seed;
-      auto backend = candidate.make(ht_entries, mem_limit);
-      const MemslapResult r = RunMemslap(backend.get(), config);
-      table.AddRow({"sim", candidate.label,
-                    TablePrinter::Fmt(r.mget_mean_us, 1),
-                    TablePrinter::Fmt(r.mget_p50_us, 1),
-                    TablePrinter::Fmt(r.mget_p99_us, 1),
-                    TablePrinter::Fmt(r.mget_p999_us, 1),
-                    TablePrinter::Fmt(r.client_mgets_per_sec, 0), "-"});
-      session.AddRow(
-          candidate.label,
-          {{"transport", "sim"}, {"mget", std::to_string(mget)}},
-          {{"mget_mean_us", ReportSession::Stat(r.mget_mean_us)},
-           {"mget_p50_us", ReportSession::Stat(r.mget_p50_us)},
-           {"mget_p99_us", ReportSession::Stat(r.mget_p99_us)},
-           {"mget_p999_us", ReportSession::Stat(r.mget_p999_us)},
-           {"achieved_qps", ReportSession::Stat(r.client_mgets_per_sec)},
-           {"server_get_mops", ReportSession::Stat(r.server_get_mops)}});
-      continue;
-    }
-
-    // --transport=tcp: an in-process loopback cluster under the open-loop
-    // harness. One backend per server (the cluster client shards keys).
+    // One backend per server (the cluster client shards keys).
     std::vector<std::unique_ptr<KvBackend>> backends;
-    std::vector<std::unique_ptr<KvTcpServer>> cluster;
-    TcpLoadgenConfig config;
-    bool up = true;
+    std::vector<KvBackend*> backend_ptrs;
     for (unsigned s = 0; s < servers; ++s) {
       backends.push_back(candidate.make(ht_entries / servers + 1,
                                         mem_limit / servers));
-      cluster.push_back(
-          std::make_unique<KvTcpServer>(backends.back().get()));
-      std::string err;
-      if (!cluster.back()->StartBackground(&err)) {
-        std::fprintf(stderr, "server %u failed to start: %s\n", s,
-                     err.c_str());
-        up = false;
-        break;
-      }
-      config.servers.push_back({"127.0.0.1", cluster.back()->port()});
+      backend_ptrs.push_back(backends.back().get());
     }
-    TcpLoadgenResult r;
+    LoadgenConfig config;
+    config.clients = conns;
+    config.num_keys = num_keys;
+    config.requests_per_client =
+        requests_per_client / (conns ? conns : 1) + 1;
+    config.mget_size = mget;
+    config.arrival = arrival;
+    config.target_qps = qps;
+    config.seed = opt.seed;
+
+    LoadgenResult r;
     std::string err;
     bool ok = false;
-    if (up) {
-      config.clients = conns;
-      config.num_keys = num_keys;
-      config.requests_per_client =
-          requests_per_client / (conns ? conns : 1) + 1;
-      config.mget_size = mget;
-      config.arrival = arrival;
-      config.target_qps = qps;
-      config.seed = opt.seed;
-      ok = RunTcpLoadgen(config, &r, &err);
-      if (!ok) std::fprintf(stderr, "loadgen: %s\n", err.c_str());
+    if (transport == "sim") {
+      SimCluster sim(backend_ptrs, conns, WireModel::InfinibandEdr());
+      ok = RunLoadgen(config, sim.links(), &r, &err);
+    } else {
+      std::vector<std::unique_ptr<KvTcpServer>> cluster;
+      std::vector<TcpEndpoint> endpoints;
+      bool up = true;
+      for (KvBackend* backend : backend_ptrs) {
+        cluster.push_back(std::make_unique<KvTcpServer>(backend));
+        if (!cluster.back()->StartBackground(&err)) {
+          std::fprintf(stderr, "server failed to start: %s\n", err.c_str());
+          up = false;
+          break;
+        }
+        endpoints.push_back({"127.0.0.1", cluster.back()->port()});
+      }
+      if (up) {
+        ok = RunLoadgen(
+            config, [&endpoints](unsigned) { return TcpLinks(endpoints); },
+            &r, &err);
+      }
+      for (auto& server : cluster) {
+        server->Stop();
+        server->Join();
+      }
     }
-    for (auto& server : cluster) {
-      server->Stop();
-      server->Join();
+    if (!ok) {
+      std::fprintf(stderr, "loadgen: %s\n", err.c_str());
+      continue;
     }
-    if (!ok) continue;
 
     double occ_max = 0;
     // Server-phase tails across the cluster (worst server). Metric names
@@ -181,20 +156,20 @@ int main(int argc, char** argv) {
     double probe_p50_ns = 0, probe_p99_ns = 0, probe_p999_ns = 0;
     double copy_p99_ns = 0, transport_p99_ns = 0;
     for (const StatsPairs& stats : r.server_stats) {
-      const double m = StatValue(stats, "batch_connections.max");
+      const double m = FindStat(stats, "batch_connections.max");
       if (m > occ_max) occ_max = m;
       probe_p50_ns =
-          std::max(probe_p50_ns, StatValue(stats, "index_probe_ns.p50"));
+          std::max(probe_p50_ns, FindStat(stats, "index_probe_ns.p50"));
       probe_p99_ns =
-          std::max(probe_p99_ns, StatValue(stats, "index_probe_ns.p99"));
+          std::max(probe_p99_ns, FindStat(stats, "index_probe_ns.p99"));
       probe_p999_ns =
-          std::max(probe_p999_ns, StatValue(stats, "index_probe_ns.p999"));
+          std::max(probe_p999_ns, FindStat(stats, "index_probe_ns.p999"));
       copy_p99_ns =
-          std::max(copy_p99_ns, StatValue(stats, "value_copy_ns.p99"));
+          std::max(copy_p99_ns, FindStat(stats, "value_copy_ns.p99"));
       transport_p99_ns =
-          std::max(transport_p99_ns, StatValue(stats, "transport_ns.p99"));
+          std::max(transport_p99_ns, FindStat(stats, "transport_ns.p99"));
     }
-    table.AddRow({"tcp", candidate.label,
+    table.AddRow({transport, candidate.label,
                   TablePrinter::Fmt(r.mget_mean_us, 1),
                   TablePrinter::Fmt(r.mget_p50_us, 1),
                   TablePrinter::Fmt(r.mget_p99_us, 1),
@@ -203,7 +178,7 @@ int main(int argc, char** argv) {
                   TablePrinter::Fmt(occ_max, 0)});
     session.AddRow(
         candidate.label,
-        {{"transport", "tcp"},
+        {{"transport", transport},
          {"mget", std::to_string(mget)},
          {"servers", std::to_string(servers)},
          {"arrival", ArrivalModeName(arrival)}},
@@ -227,12 +202,9 @@ int main(int argc, char** argv) {
   }
 
   if (!opt.csv) {
-    std::printf("transport=%s", transport.c_str());
-    if (transport == "tcp") {
-      std::printf("  servers=%u  conns=%u  arrival=%s  qps=%.0f", servers,
-                  conns, ArrivalModeName(arrival), qps);
-    }
-    std::printf("\n");
+    std::printf("transport=%s  servers=%u  conns=%u  arrival=%s  qps=%.0f\n",
+                transport.c_str(), servers, conns, ArrivalModeName(arrival),
+                qps);
   }
   Emit(table, opt);
   return session.Finish();

@@ -1,7 +1,7 @@
 // Distributed Multi-Get over a sharded key-value store (Section VI).
 //
 // Two server shards (each a KvServer over a SIMD-aware backend) behind a
-// consistent-hash ring; the client batches one application-level
+// KvClusterClient: its consistent-hash ring splits one application-level
 // MGet(K1..Kn) into per-shard Multi-Gets (the paper's request phase),
 // issues them over the modeled EDR wire, and reassembles the responses.
 //
@@ -15,7 +15,6 @@
 #include "common/stats.h"
 #include "common/timer.h"
 #include "kvs/client.h"
-#include "kvs/consistent_hash.h"
 #include "kvs/loadgen.h"
 #include "kvs/memc3_backend.h"
 #include "kvs/server.h"
@@ -55,12 +54,11 @@ int main(int argc, char** argv) {
   KvServer server1(shards[1], {&ch1});
   server0.Start();
   server1.Start();
-  KvClient clients[2] = {KvClient(&ch0), KvClient(&ch1)};
-
-  // Consistent-hash ring maps each key to its shard (request phase step 1).
-  ConsistentHashRing ring;
-  ring.AddServer(0);
-  ring.AddServer(1);
+  std::vector<std::unique_ptr<FrameLink>> links;
+  links.push_back(std::make_unique<ChannelLink>(&ch0));
+  links.push_back(std::make_unique<ChannelLink>(&ch1));
+  KvClusterClient cluster(std::move(links));
+  cluster.Connect();
 
   // Preload.
   std::vector<std::string> keys;
@@ -71,39 +69,28 @@ int main(int argc, char** argv) {
   const std::string value(32, 'v');
   std::size_t per_shard[2] = {0, 0};
   for (const std::string& key : keys) {
-    const std::uint32_t shard = ring.ServerFor(key);
-    clients[shard].Set(key, value);
-    ++per_shard[shard];
+    cluster.Set(key, value);
+    ++per_shard[cluster.ring().ServerFor(key)];
   }
   std::printf("preloaded %zu keys (%zu on shard 0, %zu on shard 1)\n\n",
               keys.size(), per_shard[0], per_shard[1]);
 
-  // Application-level Multi-Gets: partition per shard, issue, reassemble.
+  // Application-level Multi-Gets: the cluster client partitions each batch
+  // per shard, issues the sub-batches and reassembles the responses.
   Xoshiro256 rng(3);
   LatencyRecorder latency;
   std::size_t total_found = 0;
+  std::vector<std::string_view> batch(mget_size);
+  std::vector<std::string> vals;
+  std::vector<std::uint8_t> found, errors;
   for (std::size_t r = 0; r < requests; ++r) {
-    std::vector<std::string_view> batch;
-    for (std::size_t k = 0; k < mget_size; ++k) {
-      batch.push_back(keys[rng.NextBounded(keys.size())]);
+    for (std::string_view& key : batch) {
+      key = keys[rng.NextBounded(keys.size())];
     }
     Timer timer;
-    auto parts = ring.PartitionKeys(batch);
-    std::vector<std::string> merged(batch.size());
-    std::vector<std::uint8_t> merged_found(batch.size(), 0);
-    for (const auto& [shard, indices] : parts) {
-      std::vector<std::string_view> shard_keys;
-      for (std::size_t idx : indices) shard_keys.push_back(batch[idx]);
-      std::vector<std::string> vals;
-      std::vector<std::uint8_t> found;
-      clients[shard].MultiGet(shard_keys, &vals, &found);
-      for (std::size_t j = 0; j < indices.size(); ++j) {
-        merged[indices[j]] = vals[j];
-        merged_found[indices[j]] = found[j];
-      }
-    }
+    cluster.MultiGet(batch, &vals, &found, &errors);
     latency.Add(timer.ElapsedNanos());
-    for (std::uint8_t f : merged_found) total_found += f;
+    for (std::uint8_t f : found) total_found += f;
   }
 
   std::printf("issued %zu MGet(%zu) requests across 2 shards\n", requests,
@@ -114,15 +101,15 @@ int main(int argc, char** argv) {
               latency.mean() / 1e3, latency.Percentile(50) / 1e3,
               latency.Percentile(99) / 1e3);
 
-  for (KvClient& client : clients) client.Shutdown();
+  cluster.ShutdownAll();
   server0.Join();
   server1.Join();
 
-  const PhaseStats s0 = server0.stats();
-  const PhaseStats s1 = server1.stats();
   std::printf("\nserver-side lookup phase per batch: shard0 (%s) %.2f us, "
               "shard1 (%s) %.2f us\n",
-              shards[0]->name(), s0.MeanLookupNs() / 1e3, shards[1]->name(),
-              s1.MeanLookupNs() / 1e3);
+              shards[0]->name(),
+              FindStat(server0.StatsSnapshot(), "index_probe_ns.mean") / 1e3,
+              shards[1]->name(),
+              FindStat(server1.StatsSnapshot(), "index_probe_ns.mean") / 1e3);
   return 0;
 }

@@ -5,8 +5,9 @@
 #   scripts/check.sh            # all three presets
 #   scripts/check.sh default    # just the release build
 #   scripts/check.sh asan       # just the ASan+UBSan build
-#   scripts/check.sh tsan       # just the TSan build (runs the concurrent-
-#                               # table / sharded-table / mixed-runner tests)
+#   scripts/check.sh tsan       # just the TSan build (runs the concurrency
+#                               # suites: tables, mixed runner, metrics
+#                               # registry, both KVS servers)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,6 +50,11 @@ for preset in "${presets[@]}"; do
     # mid-run Prometheus scrape, and the client+server trace merge.
     echo "=== TCP serving smoke ==="
     scripts/smoke_tcp.sh build
+    # Both transports through one load generator: serve_kvs_tcp --quick on
+    # the simulated channel and on TCP must report one row per supported
+    # backend, the same metric names, and no key errors.
+    echo "=== transport smoke (sim + tcp) ==="
+    scripts/smoke_transports.sh build
   fi
 done
 echo "=== all checks passed ==="

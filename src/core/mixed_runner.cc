@@ -95,7 +95,9 @@ PassResult RunPass(const KernelInfo& kernel, CuckooTable32* table,
       barrier.Wait();
       Timer timer;
       std::uint64_t updates = 0;
-      while (!stop_writer.load(std::memory_order_relaxed)) {
+      // At least one update per pass, even if the readers finish before
+      // the writer is first scheduled.
+      do {
         const std::uint32_t key =
             resident_keys[rng.NextBounded(resident_keys.size())];
         const auto new_val = static_cast<std::uint32_t>(rng.Next()) |
@@ -108,7 +110,7 @@ PassResult RunPass(const KernelInfo& kernel, CuckooTable32* table,
           table->UpdateValue(key, new_val);
         }
         ++updates;
-      }
+      } while (!stop_writer.load(std::memory_order_relaxed));
       writer_secs = timer.ElapsedSeconds();
       writer_updates.store(updates);
     });

@@ -69,16 +69,19 @@ inline bool ItemKeyEquals(std::uint64_t handle, std::string_view key) {
                      key.data(), key.size()) == 0;
 }
 
-// CLOCK reference-bit access. Plain byte store/load: the bit is advisory
-// (races only make eviction slightly less accurate, as in memcached).
+// CLOCK reference-bit access. Serving threads touch the same item at once,
+// so the bit is a relaxed atomic byte (one plain `mov` on x86). It is
+// advisory: a lost update only makes eviction slightly less accurate, as
+// in memcached.
 inline void TouchItem(std::uint64_t handle) {
-  reinterpret_cast<ItemHeader*>(handle)->clock_bit = 1;
+  std::atomic_ref<std::uint8_t>(reinterpret_cast<ItemHeader*>(handle)
+                                    ->clock_bit)
+      .store(1, std::memory_order_relaxed);
 }
 inline bool TestAndClearClockBit(std::uint64_t handle) {
-  auto* header = reinterpret_cast<ItemHeader*>(handle);
-  const bool was = header->clock_bit != 0;
-  header->clock_bit = 0;
-  return was;
+  return std::atomic_ref<std::uint8_t>(reinterpret_cast<ItemHeader*>(handle)
+                                           ->clock_bit)
+             .exchange(0, std::memory_order_relaxed) != 0;
 }
 
 }  // namespace simdht

@@ -1,57 +1,36 @@
 #include "kvs/server.h"
 
-#include "common/timer.h"
-#include "obs/timeline.h"
-
 namespace simdht {
 
-void PhaseStats::Merge(const PhaseStats& other) {
-  mget_batches += other.mget_batches;
-  mget_keys += other.mget_keys;
-  mget_hits += other.mget_hits;
-  pre_process_ns += other.pre_process_ns;
-  ht_lookup_ns += other.ht_lookup_ns;
-  post_process_ns += other.post_process_ns;
-}
+namespace {
 
-double PhaseStats::MeanPreNs() const {
-  return mget_batches ? pre_process_ns / static_cast<double>(mget_batches)
-                      : 0;
-}
-double PhaseStats::MeanLookupNs() const {
-  return mget_batches ? ht_lookup_ns / static_cast<double>(mget_batches) : 0;
-}
-double PhaseStats::MeanPostNs() const {
-  return mget_batches ? post_process_ns / static_cast<double>(mget_batches)
-                      : 0;
-}
-double PhaseStats::MeanTotalNs() const {
-  return MeanPreNs() + MeanLookupNs() + MeanPostNs();
-}
+// A channel worker's responses go straight onto its channel.
+class ChannelSink final : public ResponseSink {
+ public:
+  explicit ChannelSink(Channel* channel) : channel_(channel) {}
+
+  void Queue(std::uint64_t, const Buffer& response) override {
+    channel_->ServerSend(response);
+  }
+  void Transmit(std::uint64_t) override {}
+
+ private:
+  Channel* channel_;
+};
+
+}  // namespace
 
 KvServer::KvServer(KvBackend* backend, std::vector<Channel*> channels,
                    MetricsRegistry* metrics)
-    : backend_(backend),
-      channels_(std::move(channels)),
-      worker_stats_(channels_.size()),
-      metrics_(metrics) {
-  if (metrics_ != nullptr) {
-    ids_.batches = metrics_->Counter(kvs_metrics::kMgetBatches);
-    ids_.keys = metrics_->Counter(kvs_metrics::kMgetKeys);
-    ids_.hits = metrics_->Counter(kvs_metrics::kMgetHits);
-    ids_.parse_ns = metrics_->Histogram(kvs_metrics::kParseNs);
-    ids_.index_probe_ns = metrics_->Histogram(kvs_metrics::kIndexProbeNs);
-    ids_.value_copy_ns = metrics_->Histogram(kvs_metrics::kValueCopyNs);
-    ids_.transport_ns = metrics_->Histogram(kvs_metrics::kTransportNs);
-  }
-}
+    : channels_(std::move(channels)),
+      core_(backend, metrics, SlidingHistogram::Options()) {}
 
 KvServer::~KvServer() { Join(); }
 
 void KvServer::Start() {
   workers_.reserve(channels_.size());
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+  for (Channel* channel : channels_) {
+    workers_.emplace_back([this, channel] { WorkerLoop(channel); });
   }
 }
 
@@ -61,108 +40,15 @@ void KvServer::Join() {
   }
 }
 
-PhaseStats KvServer::stats() const {
-  PhaseStats total;
-  for (const PhaseStats& s : worker_stats_) total.Merge(s);
-  return total;
-}
-
-void KvServer::WorkerLoop(std::size_t worker_index) {
-  Channel* channel = channels_[worker_index];
-  PhaseStats& stats = worker_stats_[worker_index];
-  const double ns_per_tick = 1.0 / TscGhz();
-  ThreadMetrics* m = metrics_ != nullptr ? metrics_->Local() : nullptr;
-  const auto ns = [ns_per_tick](std::uint64_t a, std::uint64_t b) {
-    return static_cast<std::uint64_t>(static_cast<double>(b - a) *
-                                      ns_per_tick);
-  };
-
+void KvServer::WorkerLoop(Channel* channel) {
+  ChannelSink sink(channel);
+  RequestBatch batch(&core_, &sink);
+  core_.CountConnection();
   Buffer request;
-  Buffer response;
-  MultiGetRequest mget;
-  std::vector<std::string_view> vals;
-  std::vector<std::uint8_t> found;
-  std::vector<std::uint64_t> handles;
-
   while (channel->ServerRecv(&request)) {
-    Opcode op;
-    if (!PeekOpcode(request, &op)) continue;
-    switch (op) {
-      case Opcode::kShutdown:
-        return;
-      case Opcode::kSet: {
-        SetRequest set;
-        // Malformed frames are dropped without a response: answering them
-        // would desynchronize the client's request/response pairing.
-        if (!DecodeSetRequest(request, &set)) break;
-        EncodeSetResponse(backend_->Set(set.key, set.val), &response);
-        channel->ServerSend(response);
-        break;
-      }
-      case Opcode::kMultiSet: {
-        MultiSetRequest mset;
-        if (!DecodeMultiSetRequest(request, &mset)) break;
-        std::vector<std::uint8_t> ok;
-        backend_->MultiSet(mset.keys, mset.vals, &ok);
-        EncodeMultiSetResponse(ok, &response);
-        channel->ServerSend(response);
-        break;
-      }
-      case Opcode::kMultiGet: {
-        // Phase 1: pre-processing (parse batch, extract keys).
-        const std::uint64_t t0 = ReadTsc();
-        if (!DecodeMultiGetRequest(request, &mget)) break;
-        // Phase 2: hash-table lookup (the SIMD-accelerated phase).
-        const std::uint64_t t1 = ReadTsc();
-        const std::size_t hits =
-            backend_->MultiGet(mget.keys, &vals, &found, &handles);
-        // Phase 3: post-processing (cache-freshness metadata + response).
-        const std::uint64_t t2 = ReadTsc();
-        backend_->TouchBatch(handles);
-        EncodeMultiGetResponse(vals, found, &response);
-        const std::uint64_t t3 = ReadTsc();
-
-        stats.mget_batches += 1;
-        stats.mget_keys += mget.keys.size();
-        stats.mget_hits += hits;
-        stats.pre_process_ns += static_cast<double>(t1 - t0) * ns_per_tick;
-        stats.ht_lookup_ns += static_cast<double>(t2 - t1) * ns_per_tick;
-        stats.post_process_ns += static_cast<double>(t3 - t2) * ns_per_tick;
-
-        channel->ServerSend(response);
-
-        Timeline& timeline = Timeline::Global();
-        if (m != nullptr || timeline.enabled()) {
-          const std::uint64_t t4 = ReadTsc();
-          if (m != nullptr) {
-            m->Add(ids_.batches, 1);
-            m->Add(ids_.keys, mget.keys.size());
-            m->Add(ids_.hits, hits);
-            m->Record(ids_.parse_ns, ns(t0, t1));
-            m->Record(ids_.index_probe_ns, ns(t1, t2));
-            m->Record(ids_.value_copy_ns, ns(t2, t3));
-            m->Record(ids_.transport_ns, ns(t3, t4));
-          }
-          if (timeline.enabled()) {
-            // Anchor the request's TSC stamps to the trace clock by placing
-            // t4 at "now" and laying the phases out backwards from it.
-            const double end_us = timeline.NowUs();
-            const double us_per_tick = ns_per_tick / 1e3;
-            const auto at = [&](std::uint64_t tick) {
-              return end_us -
-                     static_cast<double>(t4 - tick) * us_per_tick;
-            };
-            timeline.RecordSpan("kvs", "parse", at(t0), at(t1));
-            timeline.RecordSpan("kvs", "index-probe", at(t1), at(t2));
-            timeline.RecordSpan("kvs", "value-copy", at(t2), at(t3));
-            timeline.RecordSpan("kvs", "transport", at(t3), end_us);
-          }
-        }
-        break;
-      }
-      default:
-        break;  // unknown opcode: drop the frame
-    }
+    // A malformed frame is dropped (the core counted it); serving goes on.
+    if (batch.Handle(&request, 0) == FrameVerdict::kShutdown) return;
+    batch.Flush();
   }
 }
 

@@ -1,59 +1,27 @@
-// Multi-Get key-value server with per-phase timing (paper Section VI-A).
+// Multi-Get key-value server over the simulated RDMA channel (paper
+// Section VI-A).
 //
-// Each worker thread services one channel. An MGet request flows through the
-// three server sub-phases the paper's Fig 11(b) breaks down:
-//   (1) pre-processing  — parse the batch, extract keys
-//   (2) hash-table lookup — backend MultiGet (SIMD-accelerated or MemC3)
-//   (3) post-processing — CLOCK/LRU metadata updates + response build
-// Phase times are accumulated per worker with the TSC and reported as
-// nanoseconds per request batch.
-//
-// When a MetricsRegistry is attached the same phases are additionally
-// exported as live histograms/counters (lock-free per-worker slabs), split
-// one step finer than PhaseStats: the index probe (backend MultiGet), the
-// value-copy side (freshness updates + response build) and the transport
-// send. PhaseStats keeps means for the Fig 11(b) tables; the registry adds
-// tails (p95/p99) and lets an external reporter poll a running server.
+// A transport adapter around the shared request core (kvs/request_core.h):
+// each worker thread serves one channel with its own pending batch, and its
+// loop is receive a frame, hand it to the core, flush (which sends the
+// response on the channel). One channel carries one client's requests, so
+// every flushed batch holds exactly the request just received and the
+// core's per-batch phase timings are the paper's per-request Fig 11(b)
+// phases. Malformed frames are dropped without a reply (answering would
+// desynchronize the client's request/response pairing); the core counts
+// them as protocol errors.
 #ifndef SIMDHT_KVS_SERVER_H_
 #define SIMDHT_KVS_SERVER_H_
 
-#include <cstdint>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "kvs/backend.h"
+#include "kvs/request_core.h"
 #include "kvs/transport.h"
 #include "perf/metrics.h"
 
 namespace simdht {
-
-// Aggregated server-side timing for the data-access phases.
-struct PhaseStats {
-  std::uint64_t mget_batches = 0;
-  std::uint64_t mget_keys = 0;
-  std::uint64_t mget_hits = 0;
-  double pre_process_ns = 0;   // totals; divide by mget_batches for means
-  double ht_lookup_ns = 0;
-  double post_process_ns = 0;
-
-  void Merge(const PhaseStats& other);
-  double MeanPreNs() const;
-  double MeanLookupNs() const;
-  double MeanPostNs() const;
-  double MeanTotalNs() const;
-};
-
-// Metric names exported by KvServer into an attached registry.
-namespace kvs_metrics {
-inline constexpr char kMgetBatches[] = "kvs.mget.batches";
-inline constexpr char kMgetKeys[] = "kvs.mget.keys";
-inline constexpr char kMgetHits[] = "kvs.mget.hits";
-inline constexpr char kParseNs[] = "kvs.mget.parse_ns";            // phase 1
-inline constexpr char kIndexProbeNs[] = "kvs.mget.index_probe_ns";  // phase 2
-inline constexpr char kValueCopyNs[] = "kvs.mget.value_copy_ns";    // phase 3
-inline constexpr char kTransportNs[] = "kvs.mget.transport_ns";     // send
-}  // namespace kvs_metrics
 
 class KvServer {
  public:
@@ -75,23 +43,16 @@ class KvServer {
   // Waits for all workers to finish (after clients send Shutdown).
   void Join();
 
-  // Total stats across workers (valid after Join).
-  PhaseStats stats() const;
+  // What a STATS request returns. Thread-safe.
+  StatsPairs StatsSnapshot() const { return core_.StatsSnapshot(); }
+  MetricsSnapshot Metrics() const { return core_.Metrics(); }
 
  private:
-  struct MetricIds {
-    MetricId batches, keys, hits;
-    MetricId parse_ns, index_probe_ns, value_copy_ns, transport_ns;
-  };
+  void WorkerLoop(Channel* channel);
 
-  void WorkerLoop(std::size_t worker_index);
-
-  KvBackend* backend_;
   std::vector<Channel*> channels_;
+  RequestCore core_;
   std::vector<std::thread> workers_;
-  std::vector<PhaseStats> worker_stats_;
-  MetricsRegistry* metrics_;  // nullable, caller-owned
-  MetricIds ids_{};           // valid when metrics_ != nullptr
 };
 
 }  // namespace simdht

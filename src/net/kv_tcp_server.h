@@ -1,25 +1,22 @@
 // TCP Multi-Get server: epoll event loop + cross-connection batching.
 //
-// The simulated KvServer (kvs/server.h) dedicates one worker thread per
-// channel, so a Multi-Get batch is always one client's batch. This server
-// inverts that: a single event-loop thread serves every connection, and all
-// Multi-Get frames that arrive within one epoll dispatch cycle — from any
-// number of connections — are accumulated and flushed as ONE backend
-// MultiGet call. The SIMD/AMAC probe pipeline therefore sees the combined
-// batch: ten clients sending 16-key Multi-Gets concurrently produce
-// 160-key probe batches, exactly the regime where the paper's out-of-order
-// software pipelining pays off. The `kvs.net.batch_connections` histogram
-// records how many distinct connections each flushed batch served, making
-// the cross-connection coalescing observable (and testable).
+// A transport adapter around the shared request core (kvs/request_core.h),
+// which does all request handling. The simulated KvServer gives each
+// channel its own worker and pending batch, so a batch is one client's
+// request. This server inverts that: a single event-loop thread serves
+// every connection through ONE pending batch, so all Multi-Get frames that
+// arrive within one epoll dispatch cycle — from any number of connections —
+// are flushed as one backend MultiGet call. The SIMD/AMAC probe pipeline
+// therefore sees the combined batch: ten clients sending 16-key Multi-Gets
+// concurrently produce 160-key probe batches, exactly the regime where the
+// paper's out-of-order software pipelining pays off. The
+// `batch_connections` STATS keys record how many distinct connections each
+// flushed batch served, making the coalescing observable (and testable).
 //
-// Request handling per frame:
-//   SET       executed inline (preload path), response queued
-//   MGET      parsed (keys copied out of the stream buffer) and appended to
-//             the pending batch; responses are built at flush
-//   STATS     responds with a named-double snapshot of the serving metrics
-//             (per-phase percentiles + batch occupancy), so a remote load
-//             generator can embed server-side numbers in its report
-//   SHUTDOWN  stops the server (admin op used by benchmark scripts)
+// This file keeps the socket side only: accepting, per-connection read and
+// write buffers with backpressure, closing a connection that sent a
+// malformed frame (at the end of the cycle, so a stale event never hits a
+// recycled fd), the dispatch-cycle windows and the HTTP metrics listener.
 //
 // The pending batch is flushed when it reaches max_batch_keys or at the end
 // of the dispatch cycle, whichever comes first — batching never delays a
@@ -41,30 +38,14 @@
 
 #include "kvs/backend.h"
 #include "kvs/protocol.h"
-#include "kvs/server.h"
+#include "kvs/request_core.h"
 #include "net/acceptor.h"
 #include "net/connection.h"
 #include "net/event_loop.h"
 #include "net/metrics_http.h"
-#include "obs/sliding_histogram.h"
 #include "perf/metrics.h"
 
 namespace simdht {
-
-// Metric names exported by KvTcpServer (in addition to the kvs_metrics::
-// per-phase histograms it shares with the simulated server).
-namespace net_metrics {
-inline constexpr char kBatches[] = "kvs.net.batches";
-// Multi-Get request frames (plain + traced) accepted for processing.
-inline constexpr char kRequests[] = "kvs.net.requests";
-inline constexpr char kKeys[] = "kvs.net.keys";
-inline constexpr char kHits[] = "kvs.net.hits";
-inline constexpr char kConnections[] = "kvs.net.connections";
-inline constexpr char kProtocolErrors[] = "kvs.net.protocol_errors";
-// Distinct connections / total keys per flushed Multi-Get batch.
-inline constexpr char kBatchConnections[] = "kvs.net.batch_connections";
-inline constexpr char kBatchKeys[] = "kvs.net.batch_keys";
-}  // namespace net_metrics
 
 struct KvTcpServerOptions {
   std::string host = "127.0.0.1";
@@ -85,13 +66,13 @@ struct KvTcpServerOptions {
   std::uint16_t metrics_http_port = 0;
 };
 
-class KvTcpServer {
+class KvTcpServer : private ResponseSink {
  public:
   // `metrics` is optional; when null the server owns a private registry.
   // Either way StatsSnapshot() reads it and kStats serves it remotely.
   KvTcpServer(KvBackend* backend, KvTcpServerOptions options = {},
               MetricsRegistry* metrics = nullptr);
-  ~KvTcpServer();
+  ~KvTcpServer() override;
 
   KvTcpServer(const KvTcpServer&) = delete;
   KvTcpServer& operator=(const KvTcpServer&) = delete;
@@ -117,21 +98,15 @@ class KvTcpServer {
   // tests can drive the server deterministically without a thread.
   int PollOnce(int timeout_ms);
 
-  // Named-double snapshot (what a STATS request returns): per-phase
-  // latency percentiles in ns, batch occupancy, counters, rolling-window
-  // tails (`win.*`), per-shard probe counters. Thread-safe.
-  StatsPairs StatsSnapshot() const;
-
-  // Prometheus text exposition (what a METRICS request and the HTTP
-  // endpoint return). Thread-safe.
-  std::string RenderMetricsText() const;
+  // What a STATS request returns (see RequestCore). Thread-safe.
+  StatsPairs StatsSnapshot() const { return core_.StatsSnapshot(); }
 
   // Valid after Listen() when options.enable_metrics_http; 0 otherwise.
   std::uint16_t metrics_port() const {
     return metrics_http_ ? metrics_http_->port() : 0;
   }
 
-  MetricsSnapshot Metrics() const { return metrics_->Aggregate(); }
+  MetricsSnapshot Metrics() const { return core_.Metrics(); }
 
   std::size_t num_connections() const { return conns_.size(); }
 
@@ -141,59 +116,23 @@ class KvTcpServer {
     std::uint32_t epoll_mask = 0;
     bool dead = false;
   };
-  // One MGET frame awaiting the batch flush. Keys live in batch_keys_
-  // (owned copies; the stream buffer is recycled before the flush).
-  struct PendingMget {
-    int fd;
-    std::uint64_t conn_id;
-    std::size_t first_key;  // range [first_key, first_key + num_keys)
-    std::size_t num_keys;
-    // Trace context (kTracedMultiGet only). rx_us is the server timeline
-    // timestamp at frame receipt, echoed to the client for clock alignment.
-    bool traced = false;
-    bool sampled = false;
-    std::uint64_t trace_id = 0;
-    double rx_us = 0.0;
-  };
 
-  void RegisterMetricIds();
+  // ResponseSink: a peer is the Conn's address. A pending Conn stays
+  // allocated (in dead_conns_ once closed) until the cycle's flush is done.
+  void Queue(std::uint64_t peer, const Buffer& response) override;
+  void Transmit(std::uint64_t peer) override;
+
   void OnAcceptReady();
   void OnConnEvent(int fd, std::uint32_t ready);
   void DrainFrames(Conn* conn);
-  void HandleFrame(Conn* conn, const Buffer& frame);
-  void FlushBatch();
   void FlushIdleWrites();
   void UpdateInterest(Conn* conn);
   void CloseConn(int fd);
 
-  KvBackend* backend_;
   KvTcpServerOptions options_;
-  std::unique_ptr<MetricsRegistry> owned_metrics_;
-  MetricsRegistry* metrics_;
-  struct {
-    MetricId batches, requests, keys, hits, connections, protocol_errors;
-    MetricId batch_connections, batch_keys;
-    MetricId parse_ns, index_probe_ns, value_copy_ns, transport_ns;
-  } ids_{};
-  double tsc_ghz_;
-
-  // Rolling windows (merge-on-read rings; see obs/sliding_histogram.h).
-  // Latencies in ns; dispatch_us in µs. `requests`/`keys`/`hits` record
-  // per-flush totals so sum_rate_per_s gives windowed requests/s, keys/s,
-  // hits/s; `dispatch_*` are recorded once per dispatch cycle that handled
-  // at least one event (the duration includes the epoll wait itself).
-  struct Windows {
-    explicit Windows(const SlidingHistogram::Options& w)
-        : parse_ns(w), index_probe_ns(w), value_copy_ns(w),
-          transport_ns(w), batch_connections(w), batch_keys(w),
-          requests(w), keys(w), hits(w), dispatch_us(w),
-          dispatch_events(w) {}
-    SlidingHistogram parse_ns, index_probe_ns, value_copy_ns, transport_ns;
-    SlidingHistogram batch_connections, batch_keys;
-    SlidingHistogram requests, keys, hits;
-    SlidingHistogram dispatch_us, dispatch_events;
-  };
-  std::unique_ptr<Windows> windows_;
+  RequestCore core_;
+  RequestBatch batch_;
+  Buffer frame_;  // DrainFrames scratch
 
   EventLoop loop_;
   Acceptor acceptor_;
@@ -201,17 +140,6 @@ class KvTcpServer {
   std::map<int, std::unique_ptr<Conn>> conns_;
   std::vector<std::unique_ptr<Conn>> dead_conns_;  // closed end-of-cycle
   std::uint64_t next_conn_id_ = 1;
-
-  // Pending cross-connection batch (reset at every flush).
-  std::vector<PendingMget> pending_;
-  std::vector<std::string> batch_keys_;
-
-  // Flush scratch (reused across batches).
-  std::vector<std::string_view> scratch_views_;
-  std::vector<std::string_view> scratch_vals_;
-  std::vector<std::uint8_t> scratch_found_;
-  std::vector<std::uint64_t> scratch_handles_;
-  Buffer response_;
 
   std::atomic<bool> stop_{false};
   std::thread thread_;

@@ -4,7 +4,7 @@
 // over the METRICS admin op and the optional --metrics-port HTTP listener —
 // so a standard Prometheus scrape (or `curl`) can watch a running server.
 // This writer only formats; which families exist and what feeds them is
-// decided by the caller (KvTcpServer::RenderMetricsText). Naming scheme:
+// decided by the caller (RequestCore::RenderMetricsText). Naming scheme:
 //
 //   simdht_kvs_requests_total        counter  MGET frames served
 //   simdht_kvs_keys_total            counter  keys probed

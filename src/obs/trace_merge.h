@@ -3,7 +3,7 @@
 // A traced Multi-Get produces spans in two processes with two unrelated
 // steady clocks: the loadgen's trace (schedule/send/wait spans, one
 // `clock_sync` instant per sampled request) and each server's trace
-// (parse/index-probe/value-copy/transport spans). This merges them into
+// (parse/index_probe/value_copy/transport spans). This merges them into
 // one Chrome/Perfetto timeline: client events keep their clock (pid 1),
 // server events shift onto it (pid 2 + server index).
 //

@@ -102,43 +102,27 @@ ThreadMetrics* MetricsRegistry::Local() {
 MetricsSnapshot MetricsRegistry::Aggregate() const {
   std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap;
+  // Histograms first: see the ordering contract in the header.
+  for (MetricId id = 0; id < entries_.size(); ++id) {
+    if (entries_[id].kind != MetricKind::kHistogram) continue;
+    simdht::Histogram merged;
+    for (const auto& slab : slabs_) {
+      ThreadMetrics::HistCell* cell = slab->hists_[id].get();
+      if (cell == nullptr) continue;
+      std::lock_guard<std::mutex> cell_lock(cell->mu);
+      merged.Merge(cell->hist);
+    }
+    snap.histograms.emplace(entries_[id].name, std::move(merged));
+  }
   for (MetricId id = 0; id < entries_.size(); ++id) {
     const Entry& entry = entries_[id];
-    switch (entry.kind) {
-      case MetricKind::kCounter:
-      case MetricKind::kGauge: {
-        std::uint64_t sum = 0;
-        for (const auto& slab : slabs_) {
-          sum += slab->cells_[id].load(std::memory_order_relaxed);
-        }
-        (entry.kind == MetricKind::kCounter ? snap.counters
-                                            : snap.gauges)[entry.name] = sum;
-        break;
-      }
-      case MetricKind::kHistogram: {
-        simdht::Histogram merged;
-        for (const auto& slab : slabs_) {
-          const ThreadMetrics::HistCell* cell = slab->hists_[id].get();
-          if (cell == nullptr) continue;
-          // Seqlock read: copy only when the version is even and unchanged
-          // across the copy. A handful of retries always suffices because
-          // writers hold the odd state only for one Histogram::Add.
-          for (int attempt = 0; attempt < 64; ++attempt) {
-            const std::uint64_t v0 =
-                cell->version.load(std::memory_order_acquire);
-            if (v0 & 1) continue;
-            simdht::Histogram copy = cell->hist;
-            std::atomic_thread_fence(std::memory_order_acquire);
-            if (cell->version.load(std::memory_order_relaxed) == v0) {
-              merged.Merge(copy);
-              break;
-            }
-          }
-        }
-        snap.histograms.emplace(entry.name, std::move(merged));
-        break;
-      }
+    if (entry.kind == MetricKind::kHistogram) continue;
+    std::uint64_t sum = 0;
+    for (const auto& slab : slabs_) {
+      sum += slab->cells_[id].load(std::memory_order_relaxed);
     }
+    (entry.kind == MetricKind::kCounter ? snap.counters
+                                        : snap.gauges)[entry.name] = sum;
   }
   return snap;
 }

@@ -3,10 +3,10 @@
 //
 // Long-running components (the KVS server, future daemons) need counters and
 // latency histograms that worker threads can write on the hot path without
-// shared-cache-line contention or locks. The registry hands each thread a
-// private slab; writes are plain per-thread operations (counters/gauges are
-// relaxed atomics so the reporter can read them live, histograms are
-// seqlock-versioned so the reporter's copy is consistent), and Aggregate()
+// shared-cache-line contention. The registry hands each thread a private
+// slab; counters/gauges are relaxed atomics the reporter reads live, each
+// histogram sits behind its own lock (uncontended: only its thread records
+// into it, the reporter takes it once per Aggregate()), and Aggregate()
 // folds all slabs into one snapshot.
 //
 //   MetricsRegistry registry;
@@ -43,7 +43,7 @@ enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 using MetricId = std::uint32_t;
 
 // One thread's private slab. Obtained via MetricsRegistry::Local(); valid
-// for the registry's lifetime. Writes are wait-free.
+// for the registry's lifetime. Counter and gauge writes are wait-free.
 class ThreadMetrics {
  public:
   // Counter: monotonic accumulate.
@@ -56,20 +56,20 @@ class ThreadMetrics {
     cells_[id].store(value, std::memory_order_relaxed);
   }
 
-  // Histogram sample. Seqlock-versioned so a concurrent Aggregate() never
-  // observes a torn histogram; the writer never blocks.
+  // Histogram sample, under the cell's lock so a concurrent Aggregate()
+  // copies a whole histogram. The serving paths record a few samples per
+  // batch, so the (uncontended) lock is off every per-key loop.
   void Record(MetricId id, std::uint64_t value) {
     HistCell& cell = *hists_[id];
-    cell.version.fetch_add(1, std::memory_order_acq_rel);  // odd: writing
+    std::lock_guard<std::mutex> lock(cell.mu);
     cell.hist.Add(value);
-    cell.version.fetch_add(1, std::memory_order_release);  // even: stable
   }
 
  private:
   friend class MetricsRegistry;
 
   struct HistCell {
-    std::atomic<std::uint64_t> version{0};
+    std::mutex mu;
     Histogram hist;
   };
 
@@ -109,8 +109,9 @@ class MetricsRegistry {
   ThreadMetrics* Local();
 
   // Folds every thread's slab into one snapshot. Safe to call while writers
-  // run: counters/gauges are relaxed-atomic reads, histograms retry on a
-  // concurrent write.
+  // run. Histograms are read before counters and gauges, so a writer that
+  // bumps a counter before recording the matching sample never shows more
+  // samples than counts: every histogram count is at most its counter.
   MetricsSnapshot Aggregate() const;
 
   std::size_t num_metrics() const;

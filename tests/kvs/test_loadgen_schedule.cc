@@ -3,12 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#include "common/stats.h"
 #include "kvs/loadgen.h"
 #include "kvs/memc3_backend.h"
 
 namespace simdht {
 namespace {
+
+// The load generator against one simulated server over `backend`.
+LoadgenResult RunOnSimServer(KvBackend* backend, const LoadgenConfig& config,
+                             const WireModel& wire) {
+  SimCluster sim({backend}, config.clients, wire);
+  LoadgenResult result;
+  std::string err;
+  EXPECT_TRUE(RunLoadgen(config, sim.links(), &result, &err)) << err;
+  return result;
+}
 
 TEST(ArrivalSchedule, UniformGapsAreExact) {
   const auto s =
@@ -86,17 +98,18 @@ TEST(ArrivalMode, ParseAndName) {
 
 TEST(Memslap, OpenLoopModeRunsAtTargetRate) {
   Memc3Backend backend(1 << 12, 16 << 20);
-  MemslapConfig config;
+  LoadgenConfig config;
   config.clients = 2;
   config.num_keys = 1000;
   config.mget_size = 16;
   config.requests_per_client = 200;
-  config.wire = WireModel::Loopback();
   config.arrival = ArrivalMode::kUniform;
   config.target_qps = 2000;  // 400 requests at 2 kQPS -> ~0.2 s run
 
-  const MemslapResult r = RunMemslap(&backend, config);
-  EXPECT_EQ(r.phases.mget_batches, 400u);
+  const LoadgenResult r =
+      RunOnSimServer(&backend, config, WireModel::Loopback());
+  ASSERT_EQ(r.server_stats.size(), 1u);
+  EXPECT_EQ(FindStat(r.server_stats[0], "batches"), 400.0);
   EXPECT_DOUBLE_EQ(r.intended_qps, 2000.0);
   // The achieved rate tracks the schedule, not the backend (a loopback
   // server left to run closed-loop would be ~100x over target) — so the
@@ -104,8 +117,8 @@ TEST(Memslap, OpenLoopModeRunsAtTargetRate) {
   // a generator that stopped pacing entirely; it is deliberately loose
   // because an oversubscribed CI machine (ctest -j) legitimately starves
   // this 0.2 s run well below the intended rate.
-  EXPECT_GT(r.client_mgets_per_sec, 2000.0 * 0.1);
-  EXPECT_LT(r.client_mgets_per_sec, 2000.0 * 1.5);
+  EXPECT_GT(r.achieved_qps, 2000.0 * 0.1);
+  EXPECT_LT(r.achieved_qps, 2000.0 * 1.5);
   // Tail fields are populated and ordered.
   EXPECT_GT(r.mget_p50_us, 0.0);
   EXPECT_LE(r.mget_p50_us, r.mget_p99_us);
@@ -115,14 +128,14 @@ TEST(Memslap, OpenLoopModeRunsAtTargetRate) {
 
 TEST(Memslap, ClosedLoopResultHasNoIntendedRate) {
   Memc3Backend backend(1 << 12, 16 << 20);
-  MemslapConfig config;
+  LoadgenConfig config;
   config.clients = 1;
   config.num_keys = 500;
   config.mget_size = 16;
   config.requests_per_client = 50;
-  config.wire = WireModel::Loopback();
 
-  const MemslapResult r = RunMemslap(&backend, config);
+  const LoadgenResult r =
+      RunOnSimServer(&backend, config, WireModel::Loopback());
   EXPECT_DOUBLE_EQ(r.intended_qps, 0.0);
   EXPECT_DOUBLE_EQ(r.max_send_lag_us, 0.0);
   EXPECT_LE(r.mget_p99_us, r.mget_p999_us);

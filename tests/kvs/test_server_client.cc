@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "common/cpu_features.h"
 #include "kvs/client.h"
@@ -12,6 +13,22 @@
 
 namespace simdht {
 namespace {
+
+// The load generator against one simulated server over `backend`.
+LoadgenResult RunOnSimServer(KvBackend* backend, const LoadgenConfig& config,
+                             const WireModel& wire) {
+  SimCluster sim({backend}, config.clients, wire);
+  LoadgenResult result;
+  std::string err;
+  EXPECT_TRUE(RunLoadgen(config, sim.links(), &result, &err)) << err;
+  return result;
+}
+
+double HitRate(const LoadgenResult& result) {
+  return result.keys ? static_cast<double>(result.hits) /
+                           static_cast<double>(result.keys)
+                     : 0.0;
+}
 
 TEST(ServerClient, SetThenMultiGet) {
   Memc3Backend backend(1 << 12, 16 << 20);
@@ -36,11 +53,11 @@ TEST(ServerClient, SetThenMultiGet) {
   client.Shutdown();
   server.Join();
 
-  const PhaseStats stats = server.stats();
-  EXPECT_EQ(stats.mget_batches, 1u);
-  EXPECT_EQ(stats.mget_keys, 3u);
-  EXPECT_EQ(stats.mget_hits, 2u);
-  EXPECT_GT(stats.ht_lookup_ns, 0.0);
+  const MetricsSnapshot stats = server.Metrics();
+  EXPECT_EQ(stats.counter(kvs_metrics::kBatches), 1u);
+  EXPECT_EQ(stats.counter(kvs_metrics::kKeys), 3u);
+  EXPECT_EQ(stats.counter(kvs_metrics::kHits), 2u);
+  EXPECT_GT(stats.histograms.at(kvs_metrics::kIndexProbeNs).sum(), 0u);
 }
 
 TEST(ServerClient, ExportsPhaseMetricsWhenRegistryAttached) {
@@ -60,9 +77,9 @@ TEST(ServerClient, ExportsPhaseMetricsWhenRegistryAttached) {
   server.Join();
 
   const MetricsSnapshot snap = metrics.Aggregate();
-  EXPECT_EQ(snap.counter(kvs_metrics::kMgetBatches), 2u);
-  EXPECT_EQ(snap.counter(kvs_metrics::kMgetKeys), 3u);
-  EXPECT_EQ(snap.counter(kvs_metrics::kMgetHits), 2u);
+  EXPECT_EQ(snap.counter(kvs_metrics::kBatches), 2u);
+  EXPECT_EQ(snap.counter(kvs_metrics::kKeys), 3u);
+  EXPECT_EQ(snap.counter(kvs_metrics::kHits), 2u);
   for (const char* name :
        {kvs_metrics::kParseNs, kvs_metrics::kIndexProbeNs,
         kvs_metrics::kValueCopyNs, kvs_metrics::kTransportNs}) {
@@ -86,7 +103,8 @@ TEST(ServerClient, NoMetricsRegistryMeansNoExport) {
   ASSERT_TRUE(client.MultiGet({"k"}, &vals, &found));
   client.Shutdown();
   server.Join();
-  EXPECT_EQ(server.stats().mget_batches, 1u);  // PhaseStats still work
+  // The server's own registry still counts.
+  EXPECT_EQ(server.Metrics().counter(kvs_metrics::kBatches), 1u);
 }
 
 TEST(ServerClient, MultipleWorkersSharedBackend) {
@@ -118,22 +136,37 @@ TEST(ServerClient, MultipleWorkersSharedBackend) {
 
 TEST(Memslap, EndToEndSmallRun) {
   Memc3Backend backend(1 << 14, 32 << 20);
-  MemslapConfig config;
+  LoadgenConfig config;
   config.clients = 2;
   config.num_keys = 2000;
   config.mget_size = 16;
   config.requests_per_client = 100;
   config.hit_rate = 0.95;
-  config.wire = WireModel::Loopback();
 
-  const MemslapResult result = RunMemslap(&backend, config);
+  const LoadgenResult result =
+      RunOnSimServer(&backend, config, WireModel::Loopback());
+  ASSERT_EQ(result.server_stats.size(), 1u);
+  const StatsPairs& server = result.server_stats[0];
   EXPECT_EQ(result.preloaded, 2000u);
-  EXPECT_EQ(result.phases.mget_batches, 200u);
-  EXPECT_EQ(result.phases.mget_keys, 200u * 16u);
-  EXPECT_NEAR(result.observed_hit_rate, 0.95, 0.03);
-  EXPECT_GT(result.server_get_mops, 0.0);
+  EXPECT_EQ(FindStat(server, "batches"), 200.0);
+  EXPECT_EQ(FindStat(server, "keys"), 200.0 * 16.0);
+  EXPECT_NEAR(HitRate(result), 0.95, 0.03);
+  EXPECT_GT(ServerGetMops(server), 0.0);
   EXPECT_GT(result.mget_p50_us, 0.0);
   EXPECT_LE(result.mget_p50_us, result.mget_p99_us);
+}
+
+TEST(Memslap, MoreDriversThanChannelsFails) {
+  Memc3Backend backend(1 << 12, 8 << 20);
+  SimCluster sim({&backend}, 2, WireModel::Loopback());
+  LoadgenConfig config;
+  config.clients = 3;  // one more driver thread than the cluster serves
+  config.num_keys = 100;
+  config.requests_per_client = 10;
+  LoadgenResult result;
+  std::string err;
+  EXPECT_FALSE(RunLoadgen(config, sim.links(), &result, &err));
+  EXPECT_NE(err.find("driver thread 2"), std::string::npos) << err;
 }
 
 TEST(Memslap, SimdBackendMatchesHitRate) {
@@ -145,32 +178,32 @@ TEST(Memslap, SimdBackendMatchesHitRate) {
     backend = std::make_unique<SimdBackend>(
         SimdBackend::ScalarBucketCuckoo(), 1 << 14, 32 << 20);
   }
-  MemslapConfig config;
+  LoadgenConfig config;
   config.clients = 2;
   config.num_keys = 2000;
   config.mget_size = 96;
   config.requests_per_client = 50;
   config.hit_rate = 0.9;
-  config.wire = WireModel::Loopback();
 
-  const MemslapResult result = RunMemslap(backend.get(), config);
+  const LoadgenResult result =
+      RunOnSimServer(backend.get(), config, WireModel::Loopback());
   EXPECT_EQ(result.preloaded, 2000u);
-  EXPECT_NEAR(result.observed_hit_rate, 0.9, 0.03);
+  EXPECT_NEAR(HitRate(result), 0.9, 0.03);
 }
 
 TEST(Memslap, ModeledWireEnforcesLatencyFloor) {
   // Recv never completes before a message's modeled arrival time, so every
   // request/response round trip over the EDR model costs >= 2 x 1.5 us of
   // wire time regardless of host speed or scheduler noise.
-  MemslapConfig config;
+  LoadgenConfig config;
   config.clients = 1;
   config.num_keys = 500;
   config.mget_size = 16;
   config.requests_per_client = 50;
-  config.wire = WireModel::InfinibandEdr();
 
   Memc3Backend backend(1 << 12, 16 << 20);
-  const MemslapResult edr = RunMemslap(&backend, config);
+  const LoadgenResult edr =
+      RunOnSimServer(&backend, config, WireModel::InfinibandEdr());
   // p0 (the minimum observed latency) must respect the modeled floor.
   EXPECT_GE(edr.mget_p50_us, 3.0);
   EXPECT_GT(edr.mget_mean_us, 3.0);

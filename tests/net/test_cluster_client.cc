@@ -7,9 +7,10 @@
 #include <vector>
 
 #include "kvs/memc3_backend.h"
-#include "net/kv_tcp_client.h"
+#include "kvs/client.h"
 #include "net/kv_tcp_server.h"
 #include "net/socket.h"
+#include "net/tcp_link.h"
 
 namespace simdht {
 namespace {
@@ -40,7 +41,7 @@ struct TwoServerCluster {
       s->Join();
     }
   }
-  std::vector<KvClusterClient::Endpoint> Endpoints() const {
+  std::vector<TcpEndpoint> Endpoints() const {
     return {{"127.0.0.1", servers[0]->port()},
             {"127.0.0.1", servers[1]->port()}};
   }
@@ -50,7 +51,7 @@ struct TwoServerCluster {
 
 TEST(KvClusterClient, RoutesKeysAcrossServersAndGathersInOrder) {
   TwoServerCluster cluster;
-  KvClusterClient client(cluster.Endpoints());
+  KvClusterClient client(TcpLinks(cluster.Endpoints()));
   std::string err;
   ASSERT_TRUE(client.Connect(&err)) << err;
   ASSERT_EQ(client.num_up(), 2u);
@@ -101,7 +102,7 @@ TEST(KvClusterClient, DownServerSurfacesPerKeyErrorsNotBatchFailure) {
   ASSERT_TRUE(server.StartBackground(&err)) << err;
 
   KvClusterClient client(
-      {{"127.0.0.1", server.port()}, {"127.0.0.1", UnusedPort()}});
+      TcpLinks({{"127.0.0.1", server.port()}, {"127.0.0.1", UnusedPort()}}));
   EXPECT_TRUE(client.Connect(&err));  // partial cluster is still usable
   EXPECT_FALSE(err.empty());          // ...but the failure is reported
   EXPECT_EQ(client.num_up(), 1u);
@@ -149,7 +150,7 @@ TEST(KvClusterClient, DownServerSurfacesPerKeyErrorsNotBatchFailure) {
 
 TEST(KvClusterClient, WholeClusterDownFailsConnect) {
   KvClusterClient client(
-      {{"127.0.0.1", UnusedPort()}, {"127.0.0.1", UnusedPort()}});
+      TcpLinks({{"127.0.0.1", UnusedPort()}, {"127.0.0.1", UnusedPort()}}));
   std::string err;
   EXPECT_FALSE(client.Connect(&err));
   EXPECT_FALSE(err.empty());
@@ -158,7 +159,7 @@ TEST(KvClusterClient, WholeClusterDownFailsConnect) {
 
 TEST(KvClusterClient, ServerDyingMidRunFlagsOnlyItsKeys) {
   TwoServerCluster cluster;
-  KvClusterClient client(cluster.Endpoints());
+  KvClusterClient client(TcpLinks(cluster.Endpoints()));
   std::string err;
   ASSERT_TRUE(client.Connect(&err)) << err;
 

@@ -6,9 +6,10 @@
 #include <string>
 #include <vector>
 
+#include "kvs/loadgen.h"
 #include "kvs/memc3_backend.h"
 #include "net/kv_tcp_server.h"
-#include "net/open_loop.h"
+#include "net/tcp_link.h"
 
 namespace simdht {
 namespace {
@@ -29,10 +30,10 @@ struct Cluster {
       s->Join();
     }
   }
-  std::vector<KvClusterClient::Endpoint> Endpoints() const {
-    std::vector<KvClusterClient::Endpoint> eps;
+  LinkFactory Links() const {
+    std::vector<TcpEndpoint> eps;
     for (const auto& s : servers) eps.push_back({"127.0.0.1", s->port()});
-    return eps;
+    return [eps](unsigned) { return TcpLinks(eps); };
   }
   std::vector<std::unique_ptr<Memc3Backend>> backends;
   std::vector<std::unique_ptr<KvTcpServer>> servers;
@@ -47,8 +48,7 @@ double StatValue(const StatsPairs& stats, const std::string& name) {
 
 TEST(TcpLoadgen, OpenLoopAgainstTwoServerCluster) {
   Cluster cluster(2);
-  TcpLoadgenConfig config;
-  config.servers = cluster.Endpoints();
+  LoadgenConfig config;
   config.clients = 2;
   config.num_keys = 2000;
   config.mget_size = 16;
@@ -58,9 +58,9 @@ TEST(TcpLoadgen, OpenLoopAgainstTwoServerCluster) {
   config.target_qps = 3000;  // 300 requests -> ~0.1 s run
   config.seed = 7;
 
-  TcpLoadgenResult result;
+  LoadgenResult result;
   std::string err;
-  ASSERT_TRUE(RunTcpLoadgen(config, &result, &err)) << err;
+  ASSERT_TRUE(RunLoadgen(config, cluster.Links(), &result, &err)) << err;
 
   EXPECT_EQ(result.preloaded, config.num_keys);
   EXPECT_EQ(result.requests, 300u);
@@ -94,8 +94,7 @@ TEST(TcpLoadgen, OpenLoopAgainstTwoServerCluster) {
 
 TEST(TcpLoadgen, ClosedLoopModeWorks) {
   Cluster cluster(1);
-  TcpLoadgenConfig config;
-  config.servers = cluster.Endpoints();
+  LoadgenConfig config;
   config.clients = 1;
   config.num_keys = 500;
   config.mget_size = 8;
@@ -103,9 +102,9 @@ TEST(TcpLoadgen, ClosedLoopModeWorks) {
   config.hit_rate = 1.0;
   config.arrival = ArrivalMode::kClosedLoop;
 
-  TcpLoadgenResult result;
+  LoadgenResult result;
   std::string err;
-  ASSERT_TRUE(RunTcpLoadgen(config, &result, &err)) << err;
+  ASSERT_TRUE(RunLoadgen(config, cluster.Links(), &result, &err)) << err;
   EXPECT_EQ(result.requests, 50u);
   EXPECT_DOUBLE_EQ(result.intended_qps, 0.0);
   EXPECT_DOUBLE_EQ(result.max_send_lag_us, 0.0);
@@ -113,10 +112,11 @@ TEST(TcpLoadgen, ClosedLoopModeWorks) {
 }
 
 TEST(TcpLoadgen, NoServersFails) {
-  TcpLoadgenConfig config;
-  TcpLoadgenResult result;
+  LoadgenConfig config;
+  LoadgenResult result;
   std::string err;
-  EXPECT_FALSE(RunTcpLoadgen(config, &result, &err));
+  EXPECT_FALSE(RunLoadgen(
+      config, [](unsigned) { return TcpLinks({}); }, &result, &err));
   EXPECT_FALSE(err.empty());
 }
 

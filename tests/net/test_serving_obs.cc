@@ -10,14 +10,16 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "kvs/memc3_backend.h"
 #include "kvs/protocol.h"
-#include "net/kv_tcp_client.h"
+#include "kvs/client.h"
 #include "net/kv_tcp_server.h"
 #include "net/socket.h"
+#include "net/tcp_link.h"
 #include "obs/json.h"
 #include "obs/timeline.h"
 
@@ -42,8 +44,9 @@ TEST(KvTcpServerObs, TracedMultiGetEchoesTraceIdAndServerTiming) {
   std::string err;
   ASSERT_TRUE(server.StartBackground(&err)) << err;
 
-  KvTcpClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &err)) << err;
+  KvClient client(
+      std::make_unique<TcpLink>(TcpEndpoint{"127.0.0.1", server.port()}));
+  ASSERT_TRUE(client.Connect(&err)) << err;
   ASSERT_TRUE(client.Set("traced-key", "traced-val", &err)) << err;
 
   TraceContext trace;
@@ -86,8 +89,9 @@ TEST(KvTcpServerObs, SampledRequestRecordsServerPhaseSpans) {
   std::string err;
   ASSERT_TRUE(server.StartBackground(&err)) << err;
 
-  KvTcpClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &err)) << err;
+  KvClient client(
+      std::make_unique<TcpLink>(TcpEndpoint{"127.0.0.1", server.port()}));
+  ASSERT_TRUE(client.Connect(&err)) << err;
   ASSERT_TRUE(client.Set("span-key", "span-val", &err)) << err;
 
   TraceContext trace;
@@ -137,8 +141,9 @@ TEST(KvTcpServerObs, UnsampledTracedRequestRecordsNoSpans) {
   std::string err;
   ASSERT_TRUE(server.StartBackground(&err)) << err;
 
-  KvTcpClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &err)) << err;
+  KvClient client(
+      std::make_unique<TcpLink>(TcpEndpoint{"127.0.0.1", server.port()}));
+  ASSERT_TRUE(client.Connect(&err)) << err;
   ASSERT_TRUE(client.Set("k", "v", &err)) << err;
 
   TraceContext trace;
@@ -172,8 +177,9 @@ TEST(KvTcpServerObs, MetricsOpServesPrometheusExposition) {
   std::string err;
   ASSERT_TRUE(server.StartBackground(&err)) << err;
 
-  KvTcpClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &err)) << err;
+  KvClient client(
+      std::make_unique<TcpLink>(TcpEndpoint{"127.0.0.1", server.port()}));
+  ASSERT_TRUE(client.Connect(&err)) << err;
   ASSERT_TRUE(client.Set("m-key", "m-val", &err)) << err;
   std::vector<std::string> vals;
   std::vector<std::uint8_t> found;
@@ -208,8 +214,9 @@ TEST(KvTcpServerObs, HttpListenerServesMetricsOnTheEventLoop) {
   ASSERT_NE(server.metrics_port(), 0);
   ASSERT_NE(server.metrics_port(), server.port());
 
-  KvTcpClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &err)) << err;
+  KvClient client(
+      std::make_unique<TcpLink>(TcpEndpoint{"127.0.0.1", server.port()}));
+  ASSERT_TRUE(client.Connect(&err)) << err;
   ASSERT_TRUE(client.Set("h-key", "h-val", &err)) << err;
   std::vector<std::string> vals;
   std::vector<std::uint8_t> found;
@@ -256,8 +263,9 @@ TEST(KvTcpServerObs, StatsSnapshotCarriesWindowedTailsAndShards) {
   std::string err;
   ASSERT_TRUE(server.StartBackground(&err)) << err;
 
-  KvTcpClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &err)) << err;
+  KvClient client(
+      std::make_unique<TcpLink>(TcpEndpoint{"127.0.0.1", server.port()}));
+  ASSERT_TRUE(client.Connect(&err)) << err;
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(client.Set("wk" + std::to_string(i), "wv", &err)) << err;
   }
@@ -330,7 +338,7 @@ TEST(KvTcpServerObs, RejectsTracedRequestWithUnknownFlagBits) {
     server.PollOnce(100);
   }
   EXPECT_EQ(server.num_connections(), 0u);
-  EXPECT_EQ(server.Metrics().counter(net_metrics::kProtocolErrors), 1u);
+  EXPECT_EQ(server.Metrics().counter(kvs_metrics::kProtocolErrors), 1u);
 }
 
 TEST(KvTcpServerObs, ShardProbeCountersAttributeHitsAndMisses) {

@@ -1,20 +1,23 @@
-// KvTcpServer + KvTcpClient over loopback: round trips, remote stats,
-// malformed-input handling, and the deterministic proof that Multi-Get
-// frames from DIFFERENT connections coalesce into one backend batch.
+// KvTcpServer + KvClient over a TcpLink on loopback: round trips, remote
+// stats, malformed-input handling, and the deterministic proof that
+// Multi-Get frames from DIFFERENT connections coalesce into one backend
+// batch.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "kvs/memc3_backend.h"
 #include "kvs/protocol.h"
-#include "net/kv_tcp_client.h"
+#include "kvs/client.h"
 #include "net/kv_tcp_server.h"
 #include "net/socket.h"
+#include "net/tcp_link.h"
 
 namespace simdht {
 namespace {
@@ -30,8 +33,9 @@ TEST(KvTcpServer, SetMultiGetStatsRoundTrip) {
   ASSERT_TRUE(server.StartBackground(&err)) << err;
   ASSERT_NE(server.port(), 0);
 
-  KvTcpClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &err)) << err;
+  KvClient client(
+      std::make_unique<TcpLink>(TcpEndpoint{"127.0.0.1", server.port()}));
+  ASSERT_TRUE(client.Connect(&err)) << err;
   ASSERT_TRUE(client.Set("alpha", "one", &err)) << err;
   ASSERT_TRUE(client.Set("beta", "two", &err)) << err;
 
@@ -99,11 +103,11 @@ TEST(KvTcpServer, CrossConnectionFramesBatchIntoOneProbe) {
   // Both frames were served by a single backend MultiGet: one batch, two
   // keys, two distinct connections in it.
   const MetricsSnapshot snap = server.Metrics();
-  EXPECT_EQ(snap.counter(net_metrics::kBatches), 1u);
-  EXPECT_EQ(snap.counter(net_metrics::kKeys), 2u);
-  EXPECT_EQ(snap.counter(net_metrics::kHits), 2u);
+  EXPECT_EQ(snap.counter(kvs_metrics::kBatches), 1u);
+  EXPECT_EQ(snap.counter(kvs_metrics::kKeys), 2u);
+  EXPECT_EQ(snap.counter(kvs_metrics::kHits), 2u);
   const auto occupancy =
-      snap.histograms.find(net_metrics::kBatchConnections);
+      snap.histograms.find(kvs_metrics::kBatchConnections);
   ASSERT_NE(occupancy, snap.histograms.end());
   EXPECT_EQ(occupancy->second.count(), 1u);
   EXPECT_EQ(occupancy->second.max(), 2u);
@@ -159,7 +163,7 @@ TEST(KvTcpServer, OversizedLengthPrefixClosesConnection) {
   server.PollOnce(1000);
 
   EXPECT_EQ(server.num_connections(), 0u);
-  EXPECT_EQ(server.Metrics().counter(net_metrics::kProtocolErrors), 1u);
+  EXPECT_EQ(server.Metrics().counter(kvs_metrics::kProtocolErrors), 1u);
   // Client sees EOF.
   std::uint8_t buf[8];
   EXPECT_EQ(::recv(c.get(), buf, sizeof(buf), 0), 0);
@@ -172,8 +176,9 @@ TEST(KvTcpServer, GarbageOpcodeClosesConnectionOthersSurvive) {
   std::string err;
   ASSERT_TRUE(server.StartBackground(&err)) << err;
 
-  KvTcpClient good;
-  ASSERT_TRUE(good.Connect("127.0.0.1", server.port(), &err)) << err;
+  KvClient good(
+      std::make_unique<TcpLink>(TcpEndpoint{"127.0.0.1", server.port()}));
+  ASSERT_TRUE(good.Connect(&err)) << err;
 
   // A well-framed payload with a nonsense opcode: only this connection dies.
   ScopedFd bad(ConnectTcp("127.0.0.1", server.port(), &err));
@@ -203,8 +208,9 @@ TEST(KvTcpServer, ShutdownFrameStopsServer) {
   std::string err;
   ASSERT_TRUE(server.StartBackground(&err)) << err;
 
-  KvTcpClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &err)) << err;
+  KvClient client(
+      std::make_unique<TcpLink>(TcpEndpoint{"127.0.0.1", server.port()}));
+  ASSERT_TRUE(client.Connect(&err)) << err;
   client.Shutdown();
   server.Join();  // returns because the SHUTDOWN frame stopped the loop
   SUCCEED();
@@ -233,7 +239,7 @@ TEST(KvTcpServer, MidFrameFragmentationIsReassembled) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     server.PollOnce(200);
     const std::uint64_t batches =
-        server.Metrics().counter(net_metrics::kBatches);
+        server.Metrics().counter(kvs_metrics::kBatches);
     EXPECT_EQ(batches, i + 1 == wire.size() ? 1u : 0u) << "byte " << i;
   }
 

@@ -119,6 +119,9 @@ TEST(MetricsRegistry, AggregateWhileWritersRun) {
     }
   });
 
+  // Snapshot while the writer is running, not before it starts.
+  while (registry.Aggregate().counter("hits") < 2) std::this_thread::yield();
+
   // Each aggregate must be internally consistent (histogram count never
   // torn, counters monotone across snapshots).
   std::uint64_t last_hits = 0;
@@ -126,10 +129,18 @@ TEST(MetricsRegistry, AggregateWhileWritersRun) {
     const MetricsSnapshot snap = registry.Aggregate();
     const std::uint64_t now = snap.counter("hits");
     EXPECT_GE(now, last_hits);
-    last_hits = now;
     const auto it = snap.histograms.find("lat");
     ASSERT_NE(it, snap.histograms.end());
     EXPECT_LE(it->second.count(), now + 1);
+    // The busy writer's histogram is never left out: every sample recorded
+    // before the previous snapshot read the counter is in this one (at most
+    // one Record trails its counter bump), so once the counter is above
+    // zero the histogram is not empty.
+    EXPECT_GE(it->second.count() + 1, last_hits);
+    if (last_hits > 1) {
+      EXPECT_GT(it->second.count(), 0u);
+    }
+    last_hits = now;
   }
   stop.store(true);
   writer.join();

@@ -14,10 +14,11 @@
 
 #include "common/cpu_features.h"
 #include "common/table_printer.h"
+#include "kvs/loadgen.h"
 #include "kvs/memc3_backend.h"
 #include "kvs/simd_backend.h"
 #include "net/kv_tcp_server.h"
-#include "net/open_loop.h"
+#include "net/tcp_link.h"
 #include "obs/run_report.h"
 #include "obs/timeline.h"
 
@@ -71,8 +72,7 @@ void HandleStopSignal(int) {
 }
 
 bool ParseServerList(const std::string& list,
-                     std::vector<KvClusterClient::Endpoint>* out,
-                     std::string* err) {
+                     std::vector<TcpEndpoint>* out, std::string* err) {
   out->clear();
   std::size_t start = 0;
   while (start <= list.size()) {
@@ -80,7 +80,7 @@ bool ParseServerList(const std::string& list,
     if (comma == std::string::npos) comma = list.size();
     const std::string_view item(list.data() + start, comma - start);
     if (!item.empty()) {
-      KvClusterClient::Endpoint ep;
+      TcpEndpoint ep;
       if (!ParseEndpoint(item, &ep.host, &ep.port, err)) return false;
       out->push_back(std::move(ep));
     }
@@ -91,13 +91,6 @@ bool ParseServerList(const std::string& list,
     return false;
   }
   return true;
-}
-
-double StatValue(const StatsPairs& stats, std::string_view name) {
-  for (const auto& [n, v] : stats) {
-    if (n == name) return v;
-  }
-  return 0;
 }
 
 }  // namespace
@@ -186,9 +179,9 @@ int RunServeCommand(const Flags& flags) {
   std::printf(
       "simdht serve: exiting; %.0f batches, %.0f keys (%.0f hits), "
       "batch occupancy mean %.2f conns / %.1f keys\n",
-      StatValue(stats, "batches"), StatValue(stats, "keys"),
-      StatValue(stats, "hits"), StatValue(stats, "batch_connections.mean"),
-      StatValue(stats, "batch_keys.mean"));
+      FindStat(stats, "batches"), FindStat(stats, "keys"),
+      FindStat(stats, "hits"), FindStat(stats, "batch_connections.mean"),
+      FindStat(stats, "batch_keys.mean"));
   if (!trace_path.empty()) {
     if (!Timeline::Global().WriteToFile(trace_path, &err)) {
       std::fprintf(stderr, "serve: cannot write trace: %s\n", err.c_str());
@@ -219,7 +212,7 @@ void LoadgenUsage() {
       "  --pattern=P         zipf | uniform (default zipf)\n"
       "  --hit-rate=F        probe selectivity (default 0.95)\n"
       "  --seed=N            schedule/workload seed (default 1)\n"
-      "  --no-preload        skip the SET preload phase\n"
+      "  --no-preload        skip the MSET preload phase\n"
       "  --stop-servers      send SHUTDOWN to every server afterwards\n"
       "  --json=PATH         write a RunReport (client row + one row per\n"
       "                      server; diff with simdht_compare)\n"
@@ -235,9 +228,9 @@ void LoadgenUsage() {
 
 int RunLoadgenCommand(const Flags& flags) {
   std::string err;
-  TcpLoadgenConfig config;
-  if (!ParseServerList(flags.GetString("servers", ""), &config.servers,
-                       &err)) {
+  LoadgenConfig config;
+  std::vector<TcpEndpoint> endpoints;
+  if (!ParseServerList(flags.GetString("servers", ""), &endpoints, &err)) {
     std::fprintf(stderr, "loadgen: %s\n", err.c_str());
     LoadgenUsage();
     return 1;
@@ -281,8 +274,10 @@ int RunLoadgenCommand(const Flags& flags) {
   }
   if (config.requests_per_client == 0) config.requests_per_client = 1;
 
-  TcpLoadgenResult result;
-  if (!RunTcpLoadgen(config, &result, &err)) {
+  LoadgenResult result;
+  if (!RunLoadgen(
+          config, [&endpoints](unsigned) { return TcpLinks(endpoints); },
+          &result, &err)) {
     std::fprintf(stderr, "loadgen: %s\n", err.c_str());
     return 1;
   }
@@ -316,16 +311,16 @@ int RunLoadgenCommand(const Flags& flags) {
     }
     servers.AddRow(
         {TablePrinter::Fmt(static_cast<std::int64_t>(s)),
-         TablePrinter::Fmt(StatValue(stats, "batches"), 0),
-         TablePrinter::Fmt(StatValue(stats, "keys"), 0),
-         TablePrinter::Fmt(StatValue(stats, "hits"), 0),
-         TablePrinter::Fmt(StatValue(stats, "batch_connections.mean"), 2) +
+         TablePrinter::Fmt(FindStat(stats, "batches"), 0),
+         TablePrinter::Fmt(FindStat(stats, "keys"), 0),
+         TablePrinter::Fmt(FindStat(stats, "hits"), 0),
+         TablePrinter::Fmt(FindStat(stats, "batch_connections.mean"), 2) +
              "/" +
-             TablePrinter::Fmt(StatValue(stats, "batch_connections.max"),
+             TablePrinter::Fmt(FindStat(stats, "batch_connections.max"),
                                0),
-         TablePrinter::Fmt(StatValue(stats, "batch_keys.mean"), 1),
-         TablePrinter::Fmt(StatValue(stats, "index_probe_ns.p99") / 1e3, 2),
-         TablePrinter::Fmt(StatValue(stats, "index_probe_ns.p999") / 1e3,
+         TablePrinter::Fmt(FindStat(stats, "batch_keys.mean"), 1),
+         TablePrinter::Fmt(FindStat(stats, "index_probe_ns.p99") / 1e3, 2),
+         TablePrinter::Fmt(FindStat(stats, "index_probe_ns.p999") / 1e3,
                            2)});
   }
   if (csv) {
@@ -362,7 +357,7 @@ int RunLoadgenCommand(const Flags& flags) {
   }
 
   if (flags.GetBool("stop-servers", false)) {
-    KvClusterClient stopper(config.servers);
+    KvClusterClient stopper(TcpLinks(endpoints));
     if (stopper.Connect(nullptr)) stopper.ShutdownAll();
   }
 
@@ -375,7 +370,7 @@ int RunLoadgenCommand(const Flags& flags) {
     }
     report.options.emplace_back("arrival", ArrivalModeName(config.arrival));
     report.options.emplace_back("servers",
-                                std::to_string(config.servers.size()));
+                                std::to_string(endpoints.size()));
     report.options.emplace_back("clients",
                                 std::to_string(config.clients));
     report.options.emplace_back("mget", std::to_string(config.mget_size));
@@ -385,7 +380,7 @@ int RunLoadgenCommand(const Flags& flags) {
     row.kernel = "tcp-loadgen";
     row.config = {{"arrival", ArrivalModeName(config.arrival)},
                   {"mget", std::to_string(config.mget_size)},
-                  {"servers", std::to_string(config.servers.size())}};
+                  {"servers", std::to_string(endpoints.size())}};
     const auto metric = [&row](const char* name, double v) {
       row.metrics.emplace_back(name, MetricStat{v, 0.0});
     };
@@ -443,8 +438,8 @@ int RunTopCommand(const Flags& flags) {
   const int interval_ms = flags.GetInt("interval-ms", 1000);
   const int iterations = flags.GetInt("iterations", 0);
 
-  KvTcpClient client;
-  if (!client.Connect(host, port, &err)) {
+  KvClient client(std::make_unique<TcpLink>(TcpEndpoint{host, port}));
+  if (!client.Connect(&err)) {
     std::fprintf(stderr, "top: cannot connect to %s: %s\n",
                  server_flag.c_str(), err.c_str());
     return 1;
@@ -462,7 +457,7 @@ int RunTopCommand(const Flags& flags) {
     StatsPairs stats;
     if (!client.Stats(&stats, &err)) {
       // The connection drops once on server restart; try to re-establish.
-      if (!client.Connect(host, port, nullptr)) {
+      if (!client.Connect(nullptr)) {
         std::fprintf(stderr, "top: lost %s: %s\n", server_flag.c_str(),
                      err.c_str());
         return 1;
@@ -473,7 +468,7 @@ int RunTopCommand(const Flags& flags) {
       }
     }
     const auto v = [&stats](const char* name) {
-      return StatValue(stats, name);
+      return FindStat(stats, name);
     };
     std::printf(
         "-- simdht top: %s  (window %.1fs)\n"
@@ -498,10 +493,10 @@ int RunTopCommand(const Flags& flags) {
     for (const auto& phase : phases) {
       const std::string p(phase.prefix);
       std::printf("   %-9s %12.2f %8.2f %8.2f %8.2f\n", phase.label,
-                  StatValue(stats, p + ".p50") / 1e3,
-                  StatValue(stats, p + ".p90") / 1e3,
-                  StatValue(stats, p + ".p99") / 1e3,
-                  StatValue(stats, p + ".p999") / 1e3);
+                  FindStat(stats, p + ".p50") / 1e3,
+                  FindStat(stats, p + ".p90") / 1e3,
+                  FindStat(stats, p + ".p99") / 1e3,
+                  FindStat(stats, p + ".p999") / 1e3);
     }
     const int shards = static_cast<int>(v("shards"));
     if (shards > 0) {
@@ -510,10 +505,10 @@ int RunTopCommand(const Flags& flags) {
       double total_hits = 0, max_hits = 0, stash = 0;
       for (int s = 0; s < shards; ++s) {
         const std::string prefix = "shard." + std::to_string(s);
-        const double h = StatValue(stats, (prefix + ".hits").c_str());
+        const double h = FindStat(stats, prefix + ".hits");
         total_hits += h;
         max_hits = std::max(max_hits, h);
-        stash += StatValue(stats, (prefix + ".stash_hits").c_str());
+        stash += FindStat(stats, prefix + ".stash_hits");
       }
       const double fair = shards > 0 ? total_hits / shards : 0;
       std::printf(

@@ -7,10 +7,10 @@
 //   --repeats=N      repetitions averaged (paper protocol: 5)
 //   --csv            machine-readable output
 //   --seed=N         workload/table seed
-//   --prefetch=P     none | group | amac: also measure kernels through the
-//                    prefetch pipeline (binaries that RunCase)
-//   --group-size=N   keys per prefetch group (default 32)
-//   --amac-groups=G  prefetch groups in flight for amac (default 4)
+//   --prefetch-distance=N
+//                    also measure every kernel prefetching N keys ahead in
+//                    its compare loop, as extra "[d=N]" rows (binaries that
+//                    RunCase; default 0 = direct rows only)
 //   --perf           attach hardware counters per worker and add
 //                    cycles/lookup, IPC, LLC-miss and dTLB-miss columns
 //                    (TSC-estimated cycles, marked "~", where
@@ -30,6 +30,8 @@
 #ifndef SIMDHT_BENCH_BENCH_COMMON_H_
 #define SIMDHT_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -57,8 +59,8 @@ struct BenchOptions {
   std::size_t queries_per_thread = 0;  // 0 = per-binary default
   unsigned repeats = 0;                // 0 = per-binary default
   std::uint64_t seed = 42;
-  PipelineConfig pipeline;  // kNone = direct-only measurements
-  PerfOptions perf;         // disabled = wall-clock-only measurements
+  unsigned prefetch_distance = 0;  // 0 = direct-only measurements
+  PerfOptions perf;                // disabled = wall-clock-only measurements
   std::string json_path;      // --json: RunReport destination ("" = off)
   std::string timeline_path;  // --timeline: trace destination ("" = off)
   unsigned sample_ms = 0;     // --sample-ms: progress-sampling period
@@ -78,15 +80,8 @@ inline BenchOptions ParseBenchOptions(int argc, char** argv) {
       static_cast<std::size_t>(flags.GetInt("queries", 0));
   opt.repeats = static_cast<unsigned>(flags.GetInt("repeats", 0));
   opt.seed = flags.GetUint64("seed", 42);
-  const std::string prefetch = flags.GetString("prefetch", "none");
-  if (!ParsePrefetchPolicy(prefetch, &opt.pipeline.policy)) {
-    std::fprintf(stderr, "unknown --prefetch '%s', using 'none'\n",
-                 prefetch.c_str());
-  }
-  opt.pipeline.group_size =
-      static_cast<unsigned>(flags.GetInt("group-size", 32));
-  opt.pipeline.amac_groups =
-      static_cast<unsigned>(flags.GetInt("amac-groups", 4));
+  opt.prefetch_distance = static_cast<unsigned>(std::min<std::uint64_t>(
+      flags.GetUint64("prefetch-distance", 0), UINT_MAX));
   opt.perf.enabled =
       flags.GetBool("perf", false) || flags.Has("perf-events");
   std::string perf_why;
@@ -128,7 +123,7 @@ inline void ApplyOptions(const BenchOptions& opt, CaseSpec* spec) {
   }
   if (opt.repeats != 0) spec->run.repeats = opt.repeats;
   spec->run.seed = opt.seed;
-  spec->run.pipeline = opt.pipeline;
+  spec->run.prefetch_distance = opt.prefetch_distance;
   spec->run.perf = opt.perf;
   spec->run.sample_ms = opt.sample_ms;
   spec->run.shards = opt.shards;
@@ -224,7 +219,7 @@ class ReportSession {
     opt_str("queries_per_thread", std::to_string(opt.queries_per_thread));
     opt_str("repeats", std::to_string(opt.repeats));
     opt_str("seed", std::to_string(opt.seed));
-    opt_str("prefetch", PrefetchPolicyName(opt.pipeline.policy));
+    opt_str("prefetch_distance", std::to_string(opt.prefetch_distance));
     opt_str("perf", opt.perf.enabled ? "true" : "false");
     opt_str("sample_ms", std::to_string(opt.sample_ms));
     opt_str("shards", std::to_string(opt.shards));

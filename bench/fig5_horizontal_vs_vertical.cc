@@ -52,8 +52,7 @@ int main(int argc, char** argv) {
                 : TablePrinter::Fmt(std::int64_t{k.width_bits}),
             TablePrinter::Fmt(k.mlps_per_core, 1),
             TablePrinter::Fmt(k.stddev_mlps, 1),
-            k.approach == Approach::kScalar ? "1.00"
-                                            : TablePrinter::Fmt(k.speedup, 2)};
+            TablePrinter::Fmt(k.speedup, 2)};
         AppendPerfCells(opt, k, &row);
         table.AddRow(std::move(row));
       }

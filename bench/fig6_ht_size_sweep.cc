@@ -42,8 +42,7 @@ int main(int argc, char** argv) {
         std::vector<std::string> row = {
             HumanBytes(static_cast<double>(bytes)), layout.ToString(), k.name,
             TablePrinter::Fmt(k.mlps_per_core, 1),
-            k.approach == Approach::kScalar ? "1.00"
-                                            : TablePrinter::Fmt(k.speedup, 2)};
+            TablePrinter::Fmt(k.speedup, 2)};
         AppendPerfCells(opt, k, &row);
         table.AddRow(std::move(row));
       }

@@ -23,8 +23,10 @@ for preset in "${presets[@]}"; do
   cmake --build --preset "${preset}" -j "${jobs}"
   ctest --preset "${preset}"
   if [ "${preset}" = "default" ]; then
-    # Object-code guard: every batched cuckoo write keeps its prefetches and
-    # every AVX2 mutation scan clears the YMM upper state before it exits.
+    # Object-code guard: every batched cuckoo write and every batched read
+    # loop that honours the prefetch distance keeps its prefetches, every
+    # AVX2 mutation scan clears the YMM upper state before it exits, and no
+    # Swiss table member makes an indirect call.
     echo "=== codegen guard ==="
     scripts/check_codegen.sh build
     # Insertion-engine regression gate: BFS must keep (4,8) BCHT at >= 0.95

@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
-# Object-code guard for two hazards gcc has introduced silently:
+# Object-code guard for three hazards gcc has introduced silently:
 #
 #  * Deleted prefetches. gcc infers a non-inlined helper whose body holds
 #    only __builtin_prefetch to be side-effect free and deletes its calls,
 #    so a prefetching loop can lose every prefetch without any test noticing
-#    (only the speed drops). Every CuckooTable<K, V, W>::BatchInsert and
-#    BatchUpdate instantiation (3 key types x 2 writer policies x 2 ops) must
-#    contain a prefetch instruction.
+#    (only the speed drops; a slice schedule once shipped with none). On the
+#    write path every CuckooTable<K, V, W>::BatchInsert and BatchUpdate
+#    instantiation (3 key types x 2 writer policies x 2 ops, libsimdht_ht.a)
+#    must contain a prefetch instruction; on the read path so must every
+#    batched-lookup loop that honours ProbeBatch::prefetch_distance
+#    (libsimdht_simd.a): the 72 horizontal detail::ProbeLoop instantiations
+#    (SSE 18, AVX2 27, AVX-512 27) and the 3 scalar-twin ScalarLookup ones.
 #  * Dirty YMM state. An AVX2 mutation-scan kernel that returns (or tail-
 #    jumps out) without vzeroupper leaves the upper YMM state dirty, and
 #    every legacy-SSE instruction its caller runs next pays for it (once a
@@ -22,23 +26,32 @@
 #
 #   scripts/check_codegen.sh [build-dir]    # default: build (default preset)
 #
-# Exits 1 naming each offending symbol, 2 when the library is missing.
+# Exits 1 naming each offending symbol, 2 when a library is missing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 build_dir="${1:-build}"
-lib="${build_dir}/src/ht/libsimdht_ht.a"
-if [ ! -f "${lib}" ]; then
-  echo "check_codegen: ${lib} not found (build the preset first)" >&2
-  exit 2
-fi
+libs=("${build_dir}/src/ht/libsimdht_ht.a" "${build_dir}/src/simd/libsimdht_simd.a")
+for lib in "${libs[@]}"; do
+  if [ ! -f "${lib}" ]; then
+    echo "check_codegen: ${lib} not found (build the preset first)" >&2
+    exit 2
+  fi
+done
 
-objdump -dr -C --no-show-raw-insn "${lib}" | python3 -c '
+objdump -dr -C --no-show-raw-insn "${libs[@]}" | python3 -c '
 import re
 import sys
 
 WRITE_RE = re.compile(r"^simdht::CuckooTable<(.*)>::(BatchInsert|BatchUpdate)\(")
 EXPECTED_WRITES = 12
+# Demangled read-loop symbols start with their return type.
+READ_RES = [
+    (re.compile(r"^unsigned long simdht::detail::ProbeLoop<"),
+     "detail::ProbeLoop", 72),
+    (re.compile(r"^unsigned long simdht::\(anonymous namespace\)::"
+                r"ScalarLookup<"), "ScalarLookup", 3),
+]
 SWISS_RE = re.compile(r"^simdht::SwissTable<.*>::[~\w]+\(")
 SWISS_DEFINED_RE = re.compile(
     r"^simdht::SwissTable<.*>::(SwissTable|RestoreState|Find|Locate|Insert|"
@@ -75,6 +88,17 @@ for sym, ins in writes:
 if len(writes) != EXPECTED_WRITES:
     failures.append("found %d CuckooTable BatchInsert/BatchUpdate symbols, "
                     "expected %d" % (len(writes), EXPECTED_WRITES))
+
+reads = 0
+for read_re, what, expected in READ_RES:
+    found = [(s, ins) for o, s, ins in funcs if read_re.match(s)]
+    for sym, ins in found:
+        if not any(text.startswith("prefetch") for _, text, _ in ins):
+            failures.append("no prefetch instruction in " + sym)
+    if len(found) != expected:
+        failures.append("found %d %s symbols, expected %d"
+                        % (len(found), what, expected))
+    reads += len(found)
 
 swiss = [(s, ins) for o, s, ins in funcs
          if o == "swiss_table.cc.o" and SWISS_RE.match(s)]
@@ -123,7 +147,8 @@ for f in failures:
     print("check_codegen: FAIL: " + f, file=sys.stderr)
 if failures:
     sys.exit(1)
-print("check_codegen: %d batched-write symbols prefetch, %d AVX2 scan "
-      "functions clear YMM state on every exit, %d SwissTable members make "
-      "no indirect call - OK" % (len(writes), len(avx2), len(swiss)))
+print("check_codegen: %d batched-write and %d batched-read symbols "
+      "prefetch, %d AVX2 scan functions clear YMM state on every exit, %d "
+      "SwissTable members make no indirect call - OK"
+      % (len(writes), reads, len(avx2), len(swiss)))
 '

@@ -7,9 +7,9 @@
 // Allocations of 2 MiB or more are mmap'ed 2 MiB-aligned and marked
 // MADV_HUGEPAGE: out-of-LLC tables are probed at random, so on 4 KiB pages
 // every lookup is also a dTLB miss — which both adds a page walk to the
-// demand load and causes the CPU to drop the software prefetches issued by
-// the pipelined lookup engine (simd/pipeline.h). Huge pages keep the whole
-// table under a handful of dTLB entries.
+// demand load and causes the CPU to drop the batched lookup kernels'
+// software prefetches (ProbeBatch::prefetch_distance in simd/kernel.h).
+// Huge pages keep the whole table under a handful of dTLB entries.
 #ifndef SIMDHT_COMMON_ALIGNED_BUFFER_H_
 #define SIMDHT_COMMON_ALIGNED_BUFFER_H_
 

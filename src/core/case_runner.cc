@@ -14,6 +14,13 @@
 
 namespace simdht {
 
+std::string PrefetchRowName(const std::string& kernel_name,
+                            unsigned prefetch_distance) {
+  return prefetch_distance == 0
+             ? kernel_name
+             : kernel_name + " [d=" + std::to_string(prefetch_distance) + "]";
+}
+
 const MeasuredKernel* CaseResult::Best() const {
   const MeasuredKernel* best = nullptr;
   for (const MeasuredKernel& k : kernels) {
@@ -35,26 +42,22 @@ std::uint64_t BucketsForBytes(const LayoutSpec& layout,
 
 namespace {
 
-// Measures one kernel over pre-generated per-thread query streams, using
-// the prefetch schedule in `pipeline` (kNone = the direct path). With a
-// non-null `sharded` table every chunk is partitioned by shard and the
-// kernel runs per shard (views then index shards, not threads).
+// Measures one kernel over pre-generated per-thread query streams at
+// `prefetch_distance` (0 = the direct path). With a non-null `sharded`
+// table every chunk is partitioned by shard and the kernel runs per shard
+// (views then index shards, not threads).
 template <typename K, typename V>
 MeasuredKernel MeasureKernel(const KernelInfo& kernel,
                              const std::vector<TableView>& views,
                              const std::vector<std::vector<K>>& queries,
-                             const CaseSpec& spec,
-                             const PipelineConfig& pipeline,
+                             const CaseSpec& spec, unsigned prefetch_distance,
                              ThreadPool* pool,
                              const ShardedTable<K, V>* sharded = nullptr) {
   const unsigned threads = static_cast<unsigned>(pool->size());
-  const bool pipelined = pipeline.policy != PrefetchPolicy::kNone;
   MeasuredKernel result;
-  result.name =
-      pipelined ? kernel.name + " [" + pipeline.Describe() + "]" : kernel.name;
+  result.name = PrefetchRowName(kernel.name, prefetch_distance);
   result.approach = kernel.approach;
   result.width_bits = kernel.width_bits;
-  result.policy = pipeline.policy;
 
   // Per-thread output buffers, reused across repetitions.
   std::vector<std::vector<V>> vals(threads);
@@ -67,13 +70,12 @@ MeasuredKernel MeasureKernel(const KernelInfo& kernel,
   // One chunk through the kernel: direct to a view, or partitioned across
   // the sharded table (which invokes this same kernel per shard slice).
   const bool use_shards = sharded != nullptr;
-  const auto kernel_chunk = [&kernel, pipelined, &pipeline](
+  const auto kernel_chunk = [&kernel, prefetch_distance](
                                 const TableView& view, const K* k, V* v,
                                 std::uint8_t* f,
                                 std::size_t chunk) -> std::uint64_t {
-    const ProbeBatch batch = ProbeBatch::Of(k, v, f, chunk);
-    return pipelined ? PipelinedLookup(kernel, view, batch, pipeline)
-                     : kernel.Lookup(view, batch);
+    return kernel.Lookup(view,
+                         ProbeBatch::Of(k, v, f, chunk, prefetch_distance));
   };
   const auto run_chunk = [&](std::size_t tid, const TableView& view,
                              const K* k, std::size_t chunk) -> std::uint64_t {
@@ -84,8 +86,8 @@ MeasuredKernel MeasureKernel(const KernelInfo& kernel,
     return kernel_chunk(view, k, vals[tid].data(), found[tid].data(), chunk);
   };
 
-  // Untimed warmup: one batch per thread primes caches, branch predictors,
-  // and (for pipelined points) the prefetch schedule before measurement.
+  // Untimed warmup: one batch per thread primes caches and branch
+  // predictors before measurement.
   {
     TimelineSpan warmup_span("bench", "warmup " + result.name);
     pool->RunOnAll([&](std::size_t tid) {
@@ -291,9 +293,7 @@ CaseResult RunCaseImpl(const CaseSpec& spec,
 
   ThreadPool pool(threads, spec.run.pin_threads);
 
-  const PipelineConfig direct;  // policy == kNone
-  const PipelineConfig& pipe = spec.run.pipeline;
-  const bool add_pipelined = pipe.policy != PrefetchPolicy::kNone;
+  const unsigned d = spec.run.prefetch_distance;
 
   // Scalar twin first (direct path = the speedup baseline).
   const KernelInfo* scalar = KernelRegistry::Get().Scalar(spec.layout);
@@ -302,24 +302,24 @@ CaseResult RunCaseImpl(const CaseSpec& spec,
                              spec.layout.ToString());
   }
   result.kernels.push_back(
-      MeasureKernel<K, V>(*scalar, views, queries, spec, direct, &pool, sharded.get()));
+      MeasureKernel<K, V>(*scalar, views, queries, spec, 0, &pool, sharded.get()));
   const double scalar_mlps = result.kernels.front().mlps_per_core;
   const auto relative = [scalar_mlps](MeasuredKernel m) {
     m.speedup = scalar_mlps > 0 ? m.mlps_per_core / scalar_mlps : 0.0;
     return m;
   };
-  if (add_pipelined) {
+  if (d != 0) {
     result.kernels.push_back(relative(
-        MeasureKernel<K, V>(*scalar, views, queries, spec, pipe, &pool, sharded.get())));
+        MeasureKernel<K, V>(*scalar, views, queries, spec, d, &pool, sharded.get())));
   }
 
   for (const KernelInfo* kernel : kernels) {
     if (kernel == nullptr || kernel == scalar) continue;
     result.kernels.push_back(relative(
-        MeasureKernel<K, V>(*kernel, views, queries, spec, direct, &pool, sharded.get())));
-    if (add_pipelined) {
+        MeasureKernel<K, V>(*kernel, views, queries, spec, 0, &pool, sharded.get())));
+    if (d != 0) {
       result.kernels.push_back(relative(
-          MeasureKernel<K, V>(*kernel, views, queries, spec, pipe, &pool, sharded.get())));
+          MeasureKernel<K, V>(*kernel, views, queries, spec, d, &pool, sharded.get())));
     }
   }
   return result;

@@ -19,7 +19,6 @@
 #include "obs/time_slicer.h"
 #include "perf/perf_events.h"
 #include "simd/kernel.h"
-#include "simd/pipeline.h"
 
 namespace simdht {
 
@@ -32,19 +31,18 @@ struct CaseSpec {
   double zipf_s = 0.99;
   bool shared_table = true;  // false = dedicated table per core
   // Execution knobs shared with the mixed runner / CLI / benches. When
-  // run.pipeline.policy != kNone every kernel (scalar twin included) is
-  // additionally measured through the prefetch pipeline as an extra
-  // design point.
+  // run.prefetch_distance != 0 every kernel (scalar twin included) is
+  // additionally measured at that prefetch distance as an extra design
+  // point.
   RunOptions run;
 };
 
 // One kernel's measurement within a case.
 struct MeasuredKernel {
-  std::string name;             // kernel name, plus " [group:32]"-style
-                                // suffix for pipelined design points
+  std::string name;             // kernel name, plus a " [d=32]"-style
+                                // suffix for prefetched design points
   Approach approach = Approach::kScalar;
   unsigned width_bits = 0;
-  PrefetchPolicy policy = PrefetchPolicy::kNone;  // prefetch schedule used
   double mlps_per_core = 0.0;   // million lookups/sec per core (mean)
   double stddev_mlps = 0.0;
   double hit_fraction = 0.0;    // observed (should track CaseSpec.hit_rate)
@@ -74,6 +72,11 @@ struct CaseResult {
   // Best non-scalar entry (highest throughput); null if none measured.
   const MeasuredKernel* Best() const;
 };
+
+// Row label of a kernel measured at `prefetch_distance`: the kernel name
+// for the direct path (0), else the name plus " [d=N]".
+std::string PrefetchRowName(const std::string& kernel_name,
+                            unsigned prefetch_distance);
 
 // Runs the scalar twin plus `kernels` (may be empty for scalar-only runs).
 CaseResult RunCase(const CaseSpec& spec,

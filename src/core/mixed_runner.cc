@@ -35,7 +35,7 @@ PassResult RunPass(const KernelInfo& kernel, CuckooTable32* table,
                    ShardedTable32* sharded, SwissTable32* swiss,
                    const std::vector<std::vector<std::uint32_t>>& queries,
                    const std::vector<std::uint32_t>& resident_keys,
-                   std::size_t batch, const PipelineConfig& pipeline,
+                   std::size_t batch, unsigned prefetch_distance,
                    bool with_writer, std::uint64_t seed,
                    const PerfOptions& perf, PerfSample* perf_out) {
   const auto readers = static_cast<unsigned>(queries.size());
@@ -71,14 +71,15 @@ PassResult RunPass(const KernelInfo& kernel, CuckooTable32* table,
           sink += sharded->BatchLookup(
               [&](const TableView& shard_view, const std::uint32_t* k,
                   std::uint32_t* v, std::uint8_t* f, std::size_t m) {
-                return PipelinedLookup(kernel, shard_view,
-                                       ProbeBatch::Of(k, v, f, m), pipeline);
+                return kernel.Lookup(
+                    shard_view,
+                    ProbeBatch::Of(k, v, f, m, prefetch_distance));
               },
               q.data() + off, vals.data(), found.data(), chunk);
         } else {
-          const ProbeBatch probe = ProbeBatch::Of(q.data() + off, vals.data(),
-                                                  found.data(), chunk);
-          sink += PipelinedLookup(kernel, view, probe, pipeline);
+          sink += kernel.Lookup(
+              view, ProbeBatch::Of(q.data() + off, vals.data(), found.data(),
+                                   chunk, prefetch_distance));
         }
         off += chunk;
       }
@@ -206,38 +207,37 @@ std::vector<MixedResult> RunMixedCase(
       KernelRegistry::Get().Scalar(spec.layout)};
   all.insert(all.end(), kernels.begin(), kernels.end());
 
-  // Like the read-only engine: when a pipeline policy is configured each
-  // kernel is measured direct *and* pipelined, as separate design points.
-  std::vector<std::pair<const KernelInfo*, PipelineConfig>> rows;
+  // Like the read-only engine: with a prefetch distance configured each
+  // kernel is measured direct *and* at that distance, as separate design
+  // points.
+  std::vector<std::pair<const KernelInfo*, unsigned>> rows;
   for (const KernelInfo* kernel : all) {
     if (kernel == nullptr) continue;
-    rows.emplace_back(kernel, PipelineConfig{});
-    if (spec.run.pipeline.policy != PrefetchPolicy::kNone) {
-      rows.emplace_back(kernel, spec.run.pipeline);
+    rows.emplace_back(kernel, 0);
+    if (spec.run.prefetch_distance != 0) {
+      rows.emplace_back(kernel, spec.run.prefetch_distance);
     }
   }
 
   std::vector<MixedResult> results;
-  for (const auto& [kernel, pipeline] : rows) {
+  for (const auto& [kernel, prefetch_distance] : rows) {
     MixedResult r;
-    r.kernel = pipeline.policy != PrefetchPolicy::kNone
-                   ? kernel->name + " [" + pipeline.Describe() + "]"
-                   : kernel->name;
+    r.kernel = PrefetchRowName(kernel->name, prefetch_distance);
     RunningStat ro, ww, wu;
     for (unsigned rep = 0; rep < spec.run.repeats; ++rep) {
       const std::string rep_tag = " rep" + std::to_string(rep);
       {
         TimelineSpan span("bench", r.kernel + " read-only" + rep_tag);
         ro.Add(RunPass(*kernel, table.get(), sharded.get(), swiss.get(),
-                       queries, build.inserted_keys, spec.run.batch, pipeline,
-                       /*with_writer=*/false, spec.run.seed + rep,
-                       spec.run.perf, &r.perf_read_only)
+                       queries, build.inserted_keys, spec.run.batch,
+                       prefetch_distance, /*with_writer=*/false,
+                       spec.run.seed + rep, spec.run.perf, &r.perf_read_only)
                    .reader_mlps);
       }
       TimelineSpan span("bench", r.kernel + " with-writer" + rep_tag);
       const PassResult with =
           RunPass(*kernel, table.get(), sharded.get(), swiss.get(), queries,
-                  build.inserted_keys, spec.run.batch, pipeline,
+                  build.inserted_keys, spec.run.batch, prefetch_distance,
                   /*with_writer=*/true, spec.run.seed + rep, spec.run.perf,
                   &r.perf_with_writer);
       ww.Add(with.reader_mlps);

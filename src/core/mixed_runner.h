@@ -40,9 +40,9 @@ struct MixedResult {
 
 // Runs the scalar twin plus `kernels` over `spec` (shared table, reader
 // threads = spec.run.threads - 1 when a writer runs, so core counts stay
-// comparable). When spec.run.pipeline is configured each kernel is measured
-// direct and pipelined. Only 32-bit interleaved layouts are supported (the
-// shapes the KVS use case needs).
+// comparable). When spec.run.prefetch_distance is set each kernel is
+// measured direct and at that distance. Only 32-bit interleaved layouts are
+// supported (the shapes the KVS use case needs).
 std::vector<MixedResult> RunMixedCase(
     const CaseSpec& spec, const std::vector<const KernelInfo*>& kernels);
 

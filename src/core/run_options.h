@@ -3,7 +3,7 @@
 // The performance engine (CaseSpec in case_runner.h), the mixed read/write
 // runner, the CLI and the bench binaries all used to duplicate these fields;
 // RunOptions hoists them so the defaults — and any new knob, like the
-// prefetch-pipelining config — live in exactly one place.
+// prefetch distance — live in exactly one place.
 #ifndef SIMDHT_CORE_RUN_OPTIONS_H_
 #define SIMDHT_CORE_RUN_OPTIONS_H_
 
@@ -12,7 +12,6 @@
 
 #include "hash/hash_family.h"
 #include "perf/perf_events.h"
-#include "simd/pipeline.h"
 
 namespace simdht {
 
@@ -37,9 +36,11 @@ struct RunOptions {
   // lookups-completed counter at this period; the slices land on each
   // MeasuredKernel row and in the run report (--json) as a SampleSeries.
   unsigned sample_ms = 0;
-  // When policy != kNone, the runners measure each kernel both direct and
-  // through the prefetch pipeline, as separate design points.
-  PipelineConfig pipeline;
+  // 0 = each kernel is measured direct only. N > 0 also measures each
+  // kernel with ProbeBatch::prefetch_distance = N, as a separate design
+  // point labelled "<kernel> [d=N]" (the vertical and Swiss kernels ignore
+  // the distance, so their [d=N] rows repeat the direct path).
+  unsigned prefetch_distance = 0;
   // When enabled, every worker attaches a CounterGroup around its measured
   // region and the result rows carry cycles/lookup, IPC, and miss-rate
   // columns (TSC-estimated cycles when perf_event_open is unavailable).

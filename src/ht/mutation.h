@@ -122,11 +122,11 @@ class MutationRegistry {
   std::vector<MutationKernel> kernels_;
 };
 
-// Prefetch of every cache line of bucket `b` -- the mutation twin of
-// simd/prefetch.h's PrefetchBucket (which lives in the simd layer; the
-// write path needs one below it). The builtin asks for a write hint, but
-// at the -msse4.2 baseline gcc emits prefetcht0 (PREFETCHW needs -mprfchw),
-// so the line arrives shared in L1 like a read prefetch.
+// Prefetch of every cache line of bucket `b` -- the write-path twin of the
+// scalar read kernel's bucket prefetch (simd/scalar_kernels.cc; the write
+// path needs one below the simd layer). The builtin asks for a write hint,
+// but at the -msse4.2 baseline gcc emits prefetcht0 (PREFETCHW needs
+// -mprfchw), so the line arrives shared in L1 like a read prefetch.
 SIMDHT_ALWAYS_INLINE void PrefetchBucketForWrite(const TableView& view,
                                                  std::uint64_t b) {
   const std::uint8_t* p = view.bucket_ptr(b);

@@ -15,10 +15,9 @@
 //
 // Batched lookups partition the probe stream by shard (one counting-sort
 // pass), run the caller-supplied lookup — typically a SIMD kernel via
-// KernelInfo::Lookup or the prefetch pipeline — per shard against that
-// shard's TableView, then scatter results back into probe order. The
-// kernels and the pipeline stay shard-oblivious: each invocation sees one
-// plain TableView and a contiguous slice of keys.
+// KernelInfo::Lookup — per shard against that shard's TableView, then
+// scatter results back into probe order. The kernels stay shard-oblivious:
+// each invocation sees one plain TableView and a contiguous slice of keys.
 #ifndef SIMDHT_HT_SHARDED_TABLE_H_
 #define SIMDHT_HT_SHARDED_TABLE_H_
 

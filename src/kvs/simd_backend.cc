@@ -41,8 +41,7 @@ SimdBackend::Config SimdBackend::ScalarBucketCuckoo() {
 
 SimdBackend::SimdBackend(const Config& config, std::uint64_t ht_entries,
                          std::size_t memory_limit)
-    : name_(config.display_name), pipeline_(config.pipeline),
-      slab_(memory_limit) {
+    : name_(config.display_name), slab_(memory_limit) {
   if (config.shards == 0) {
     throw std::invalid_argument("SimdBackend: shards must be >= 1");
   }
@@ -191,8 +190,8 @@ std::size_t SimdBackend::MultiSet(const std::vector<std::string_view>& keys,
     table_->BatchLookup(
         [this](const TableView& view, const std::uint32_t* k,
                std::uint32_t* v, std::uint8_t* f, std::size_t m2) {
-          return PipelinedLookup(*kernel_, view, ProbeBatch::Of(k, v, f, m2),
-                                 pipeline_);
+          return kernel_->Lookup(
+              view, ProbeBatch::Of(k, v, f, m2, kProbePrefetchDistance));
         },
         hash_keys.data(), probe_idx.data(), exists.data(), m);
 
@@ -286,17 +285,19 @@ std::size_t SimdBackend::MultiGet(const std::vector<std::string_view>& keys,
         HashKey32(keys[i], HashBytes(keys[i].data(), keys[i].size()));
   }
 
-  // Stage 2: the SIMD (or scalar-twin) batched index lookup, run through
-  // the prefetch pipeline so the candidate index-table buckets stream into
-  // cache ahead of the compare kernel. The sharded store partitions the
+  // Stage 2: the SIMD (or scalar-twin) batched index lookup. Multi-Get
+  // batches are the textbook case for hiding index-table DRAM latency: the
+  // scalar twin and the horizontal kernels prefetch the candidate buckets
+  // kProbePrefetchDistance keys ahead inside their compare loop (the
+  // vertical kernels run direct). The sharded store partitions the
   // batch by shard and validates each shard's write epoch around the
   // kernel call; with one shard it is a pass-through.
   std::vector<std::uint32_t> indices(n);
   const std::uint64_t raw_hits = table_->BatchLookup(
       [this](const TableView& view, const std::uint32_t* k, std::uint32_t* v,
              std::uint8_t* f, std::size_t m) {
-        return PipelinedLookup(*kernel_, view, ProbeBatch::Of(k, v, f, m),
-                               pipeline_);
+        return kernel_->Lookup(
+            view, ProbeBatch::Of(k, v, f, m, kProbePrefetchDistance));
       },
       hash_keys.data(), indices.data(), found->data(), n);
   (void)raw_hits;

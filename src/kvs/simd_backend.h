@@ -21,7 +21,6 @@
 #include "kvs/clock_lru.h"
 #include "kvs/slab.h"
 #include "simd/kernel.h"
-#include "simd/pipeline.h"
 
 namespace simdht {
 
@@ -38,14 +37,6 @@ class SimdBackend : public KvBackend {
     Approach approach = Approach::kHorizontal;
     unsigned width_bits = 256;
     std::string display_name;  // e.g. "Bucket-Cuckoo-Hor(AVX-256)"
-    // Prefetch schedule for the Multi-Get index lookup (stage 2). Multi-Get
-    // batches are the textbook case for hiding index-table DRAM latency.
-    // Under kGroup or kAmac the horizontal kernels prefetch group_size keys
-    // ahead inside their own compare loop and the scalar twin fuses AMAC
-    // into a per-key interleave; the vertical kernels take a windowed slice
-    // schedule (see simd/pipeline.h).
-    PipelineConfig pipeline{PrefetchPolicy::kAmac, /*group_size=*/32,
-                            /*amac_groups=*/4};
   };
 
   // Paper configurations.
@@ -90,7 +81,6 @@ class SimdBackend : public KvBackend {
 
   std::string name_;
   std::unique_ptr<ShardedTable32> table_;
-  PipelineConfig pipeline_;
   const KernelInfo* kernel_ = nullptr;
   SlabAllocator slab_;
   ClockLru lru_;

@@ -6,8 +6,8 @@
 // request. This server inverts that: a single event-loop thread serves
 // every connection through ONE pending batch, so all Multi-Get frames that
 // arrive within one epoll dispatch cycle — from any number of connections —
-// are flushed as one backend MultiGet call. The SIMD/AMAC probe pipeline
-// therefore sees the combined batch: ten clients sending 16-key Multi-Gets
+// are flushed as one backend MultiGet call. The SIMD kernel's in-loop
+// prefetch therefore sees the combined batch: ten clients sending 16-key Multi-Gets
 // concurrently produce 160-key probe batches, exactly the regime where the
 // paper's out-of-order software pipelining pays off. The
 // `batch_connections` STATS keys record how many distinct connections each

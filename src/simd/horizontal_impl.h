@@ -18,7 +18,8 @@
 // Memory-level parallelism lives inside the loop: the batch is block-hashed
 // (hash/block_hash.h) a tile at a time, and right before comparing key i
 // the loop prefetches the candidate buckets of key i + d, where d is
-// ProbeBatch::prefetch_distance (set by the pipeline engine, 0 = none). The
+// ProbeBatch::prefetch_distance (kProbePrefetchDistance on the library's
+// read paths, 0 = none; clamped to the 64-key hash tile). The
 // per-key result is written without a data-dependent branch, so a
 // mispredicted hit/miss or which-bucket branch never flushes the run-ahead
 // window that overlaps the next keys' misses.

@@ -8,13 +8,13 @@
 // (src/core/validation.h) joins this registry against a workload's LayoutSpec
 // and the host CPUID to produce the paper's "viable design choices" list.
 //
-// Batched probes travel as a ProbeBatch view: typed key/val spans, found
-// bytes, and an optional per-batch stats slot. KernelInfo::Lookup is the
-// canonical entry point; every kernel implements the native ProbeBatch
-// LookupFn signature. The prefetch-pipelined engine (src/simd/pipeline.h)
-// either slices the same batch into groups without the kernel knowing, or
-// (horizontal cuckoo kernels) hands over the whole batch with a prefetch
-// distance the kernel's own loop honours.
+// Batched probes travel as a ProbeBatch view: key/val spans, found bytes,
+// and a prefetch distance. KernelInfo::Lookup is the one batched-lookup
+// entry point; every kernel implements the native ProbeBatch LookupFn
+// signature. There is one probe schedule: a kernel that prefetches does so
+// inside its own compare loop, `prefetch_distance` keys ahead (the scalar
+// cuckoo twin and the horizontal kernels); the vertical and Swiss kernels
+// run direct and ignore the distance.
 //
 // Registration is open: a translation unit contributes kernels by calling
 // RegisterKernelProvider() before the first KernelRegistry::Get() — no edit
@@ -34,22 +34,6 @@
 
 namespace simdht {
 
-// Optional per-batch statistics slot. Counters accumulate across
-// invocations, so one slot can aggregate a whole measurement run or a
-// backend's lifetime; not thread-safe — use one slot per thread.
-struct ProbeBatchStats {
-  std::uint64_t lookups = 0;          // keys probed
-  std::uint64_t hits = 0;             // keys found
-  // Compare-loop passes: one per slice on the pipeline's slice schedule,
-  // one per batch on the direct path and the fused (in-loop prefetch) paths.
-  std::uint64_t kernel_calls = 0;
-  // Prefetch windows issued: one per group_size keys prefetched (a fused
-  // scalar-AMAC window spans amac_groups x group_size keys).
-  std::uint64_t prefetch_groups = 0;
-
-  void Reset() { *this = ProbeBatchStats{}; }
-};
-
 // One 8-byte bucket-arena load, for the vertical kernels' scalar tails.
 // Batched readers of a seqlocked table race writers by design — a rebuild
 // copies the whole arena under them — and discard any batch whose write
@@ -61,10 +45,17 @@ SIMDHT_NO_TSAN inline std::uint64_t LoadArenaWord(const void* p) {
   return word;
 }
 
+// Keys ahead of the compare loop whose candidate buckets a batched lookup
+// prefetches: the distance every library read path (SimdHashTable::BatchGet,
+// the KVS backend's Multi-Get) hands its kernel. The read-side twin of
+// kCuckooWritePrefetchDistance (ht/mutation.h); the bench binaries and the
+// CLI sweep it with --prefetch-distance.
+inline constexpr unsigned kProbePrefetchDistance = 32;
+
 // One batched probe request: n keys in, n values and n found bytes out.
 // Non-owning view; the caller keeps the spans alive for the call.
-//   keys:  n keys, element width = key_bits (must match the kernel/table)
-//   vals:  n values (element width = val_bits); entry i is written with the
+//   keys:  n keys, element width = the table's key width
+//   vals:  n values (the table's value width); entry i is written with the
 //          payload when found, 0 otherwise
 //   found: n bytes, 1 if keys[i] was found
 struct ProbeBatch {
@@ -72,29 +63,22 @@ struct ProbeBatch {
   void* vals = nullptr;
   std::uint8_t* found = nullptr;
   std::size_t size = 0;
-  // Element widths of the spans in bits; set by Of(). 0 = untyped (legacy
-  // callers) — Slice() and the pipeline need them and fill from the table.
-  unsigned key_bits = 0;
-  unsigned val_bits = 0;
-  ProbeBatchStats* stats = nullptr;  // optional; see ProbeBatchStats
-  // Keys ahead of the compare loop whose candidate buckets a kernel that
-  // prefetches inside its own loop (the horizontal cuckoo kernels) fetches
-  // while comparing; 0 = no prefetching. PipelinedLookup sets it; other
-  // kernels ignore it.
+  // Keys ahead of key i whose candidate buckets a kernel that prefetches
+  // inside its own loop (the scalar cuckoo twin, the horizontal kernels)
+  // fetches right before comparing key i; 0 = no prefetching. Any value is
+  // legal; the vertical and Swiss kernels ignore it.
   unsigned prefetch_distance = 0;
 
-  // Builds a typed batch view over caller-owned spans.
+  // Builds a batch view over caller-owned spans.
   template <typename K, typename V>
   static ProbeBatch Of(const K* keys, V* vals, std::uint8_t* found,
-                       std::size_t n, ProbeBatchStats* stats = nullptr) {
+                       std::size_t n, unsigned prefetch_distance = 0) {
     ProbeBatch batch;
     batch.keys = keys;
     batch.vals = vals;
     batch.found = found;
     batch.size = n;
-    batch.key_bits = sizeof(K) * 8;
-    batch.val_bits = sizeof(V) * 8;
-    batch.stats = stats;
+    batch.prefetch_distance = prefetch_distance;
     return batch;
   }
 
@@ -105,20 +89,6 @@ struct ProbeBatch {
   template <typename V>
   V* vals_as() const {
     return static_cast<V*>(vals);
-  }
-
-  // Sub-batch view [offset, offset + count). Requires typed spans
-  // (key_bits/val_bits != 0) for the pointer arithmetic.
-  ProbeBatch Slice(std::size_t offset, std::size_t count) const {
-    ProbeBatch sub = *this;
-    sub.keys =
-        static_cast<const std::uint8_t*>(keys) + offset * (key_bits / 8);
-    if (vals != nullptr) {
-      sub.vals = static_cast<std::uint8_t*>(vals) + offset * (val_bits / 8);
-    }
-    if (found != nullptr) sub.found = found + offset;
-    sub.size = count;
-    return sub;
   }
 };
 
@@ -142,20 +112,15 @@ struct KernelInfo {
   // kernels scan the control lane at width_bits / 8 slots per window.
   LookupFn fn = nullptr;
 
-  // Canonical entry point: runs the kernel over `batch` and maintains the
-  // batch's stats slot, then probes the table's overflow stash for whatever
-  // the bucket pass missed — so stash entries are visible through every
-  // kernel (scalar and SIMD) without each kernel knowing the stash exists.
+  // The one batched-lookup entry point: runs the kernel over `batch`, then
+  // probes the table's overflow stash for whatever the bucket pass missed —
+  // so stash entries are visible through every kernel (scalar and SIMD)
+  // without each kernel knowing the stash exists.
   std::uint64_t Lookup(const TableView& view, const ProbeBatch& batch) const {
     std::uint64_t found = fn(view, batch);
     if (view.stash_count != 0) {
       found += ProbeStash(view, batch.keys, batch.vals, batch.found,
                           batch.size);
-    }
-    if (batch.stats != nullptr) {
-      batch.stats->lookups += batch.size;
-      batch.stats->hits += found;
-      batch.stats->kernel_calls += 1;
     }
     return found;
   }

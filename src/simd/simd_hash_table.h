@@ -33,7 +33,6 @@
 #include "ht/sharded_table.h"
 #include "ht/swiss_table.h"
 #include "simd/kernel.h"
-#include "simd/pipeline.h"
 
 namespace simdht {
 
@@ -73,14 +72,6 @@ class SimdHashTable {
     // CPU: true (default) accepts the scalar twin, false makes the
     // constructor throw so "I asked for SIMD" failures are loud.
     bool allow_scalar_fallback = true;
-    // Prefetch schedule for BatchGet (see simd/pipeline.h). Under kGroup or
-    // kAmac the horizontal kernels prefetch group_size keys ahead inside
-    // their own compare loop, and the scalar twin fuses the same per-key
-    // interleave under kAmac (the big out-of-LLC wins); vertical and Swiss
-    // kernels take a windowed slice schedule. Set policy = kNone for the raw
-    // direct path, which prefetches nothing.
-    PipelineConfig pipeline{PrefetchPolicy::kAmac, /*group_size=*/32,
-                            /*amac_groups=*/4};
   };
 
   // The LayoutSpec `options` describes (width fields from K/V).
@@ -134,8 +125,7 @@ class SimdHashTable {
     }
   }
 
-  explicit SimdHashTable(const Options& options)
-      : pipeline_(options.pipeline) {
+  explicit SimdHashTable(const Options& options) {
     Validate(options);
     if (options.family == TableFamily::kSwiss) {
       swiss_.emplace(options.capacity / kSwissGroupSlots + 1, options.seed,
@@ -209,21 +199,23 @@ class SimdHashTable {
 
   // --- the batched, SIMD-accelerated lookup ---
   // Looks up keys[0..n); writes vals[i] (0 on miss) and found[i] (0/1).
-  // Returns the number of keys found. Sharded tables partition the batch by
-  // shard and validate each shard's write epoch around the kernel call, so
-  // this is safe to race with Insert/Erase when shards > 1.
+  // Returns the number of keys found. The kernel prefetches
+  // kProbePrefetchDistance keys ahead inside its own loop where it has one
+  // (scalar cuckoo twin, horizontal kernels). Sharded tables partition the
+  // batch by shard and validate each shard's write epoch around the kernel
+  // call, so this is safe to race with Insert/Erase when shards > 1.
   std::uint64_t BatchGet(const K* keys, std::size_t n, V* vals,
                          std::uint8_t* found) const {
     if (table_ || swiss_) {
-      const ProbeBatch batch = ProbeBatch::Of(keys, vals, found, n);
       const TableView view = table_ ? table_->view() : swiss_->view();
-      return PipelinedLookup(*kernel_, view, batch, pipeline_);
+      return kernel_->Lookup(
+          view, ProbeBatch::Of(keys, vals, found, n, kProbePrefetchDistance));
     }
     return sharded_->BatchLookup(
         [this](const TableView& view, const K* k, V* v, std::uint8_t* f,
                std::size_t m) {
-          return PipelinedLookup(*kernel_, view, ProbeBatch::Of(k, v, f, m),
-                                 pipeline_);
+          return kernel_->Lookup(
+              view, ProbeBatch::Of(k, v, f, m, kProbePrefetchDistance));
         },
         keys, vals, found, n);
   }
@@ -366,7 +358,6 @@ class SimdHashTable {
   std::optional<CuckooTable<K, V>> table_;       // cuckoo, shards == 1
   std::optional<SwissTable<K, V>> swiss_;        // family == kSwiss
   std::unique_ptr<ShardedTable<K, V>> sharded_;  // cuckoo, shards > 1
-  PipelineConfig pipeline_;
   const KernelInfo* kernel_ = nullptr;
 };
 

@@ -88,6 +88,40 @@ TEST(CaseRunner, SwissFamilyAutoRun) {
   EXPECT_NEAR(result.achieved_load_factor, 0.85, 0.01);
 }
 
+// A prefetch distance adds one "[d=N]" row right after each kernel's direct
+// row (scalar twin included); the distance never changes what is found, so
+// both rows see the same hits. Distances past the batch are legal.
+TEST(CaseRunner, PrefetchDistanceAddsOneRowPerKernel) {
+  for (const LayoutSpec& layout :
+       {SmallSpec().layout, LayoutSpec::Swiss(32, 32)}) {
+    CaseSpec spec = SmallSpec();
+    spec.layout = layout;
+    spec.run.prefetch_distance = 32;
+    const CaseResult result = RunCaseAuto(spec);
+    ASSERT_GE(result.kernels.size(), 2u) << layout.ToString();
+    ASSERT_EQ(result.kernels.size() % 2, 0u) << layout.ToString();
+    for (std::size_t i = 0; i < result.kernels.size(); i += 2) {
+      const MeasuredKernel& direct = result.kernels[i];
+      const MeasuredKernel& prefetched = result.kernels[i + 1];
+      EXPECT_EQ(direct.name.find('['), std::string::npos) << direct.name;
+      EXPECT_EQ(prefetched.name, direct.name + " [d=32]");
+      EXPECT_EQ(prefetched.approach, direct.approach) << prefetched.name;
+      EXPECT_GT(prefetched.mlps_per_core, 0.0) << prefetched.name;
+      EXPECT_DOUBLE_EQ(prefetched.hit_fraction, direct.hit_fraction)
+          << prefetched.name;
+    }
+  }
+
+  CaseSpec spec = SmallSpec();
+  spec.run.prefetch_distance = 4096;
+  const CaseResult result = RunCaseAuto(spec);
+  ASSERT_GE(result.kernels.size(), 2u);
+  EXPECT_EQ(result.kernels[1].name, result.kernels[0].name + " [d=4096]");
+  for (const MeasuredKernel& k : result.kernels) {
+    EXPECT_NEAR(k.hit_fraction, 0.9, 0.02) << k.name;
+  }
+}
+
 TEST(CaseRunner, SwissWyHashRun) {
   CaseSpec spec = SmallSpec();
   spec.layout = LayoutSpec::Swiss(32, 32);

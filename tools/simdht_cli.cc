@@ -11,6 +11,7 @@
 //   simdht --ways=3 --slots=1 --key-bits=64 --hit-rate=0.5 --threads=4
 //   simdht --ways=2 --slots=8 --key-bits=16 --layout=split --csv
 //   simdht perf-check        # report hardware-counter availability
+#include <algorithm>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -151,10 +152,9 @@ void Usage(const char* prog) {
       "  --threads=N       worker threads (default: all cores)\n"
       "  --queries=N       probes per thread per run (default 1M)\n"
       "  --repeats=N       runs averaged (default 5)\n"
-      "  --prefetch=P      none | group | amac (default none): also measure\n"
-      "                    each kernel through the prefetch pipeline\n"
-      "  --group-size=N    keys per prefetch group (default 32)\n"
-      "  --amac-groups=G   prefetch groups in flight for amac (default 4)\n"
+      "  --prefetch-distance=N\n"
+      "                    also measure each kernel prefetching N keys ahead\n"
+      "                    in its compare loop, as '[d=N]' rows (default 0)\n"
       "  --widths=LIST     vector widths to consider (default 128,256,512)\n"
       "  --hybrid          include vertical-over-BCHT designs\n"
       "  --no-strict       admit chunked horizontal probes\n"
@@ -259,20 +259,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const std::string prefetch = flags.GetString("prefetch", "none");
-  if (!ParsePrefetchPolicy(prefetch, &spec.run.pipeline.policy)) {
-    std::fprintf(stderr, "unknown --prefetch '%s'\n", prefetch.c_str());
-    return 1;
-  }
-  spec.run.pipeline.group_size =
-      static_cast<unsigned>(flags.GetInt("group-size", 32));
-  spec.run.pipeline.amac_groups =
-      static_cast<unsigned>(flags.GetInt("amac-groups", 4));
-  std::string pipeline_why;
-  if (!spec.run.pipeline.Validate(&pipeline_why)) {
-    std::fprintf(stderr, "invalid prefetch config: %s\n", pipeline_why.c_str());
-    return 1;
-  }
+  spec.run.prefetch_distance = static_cast<unsigned>(std::min<std::uint64_t>(
+      flags.GetUint64("prefetch-distance", 0), UINT_MAX));
 
   spec.run.perf.enabled =
       flags.GetBool("perf", false) || flags.Has("perf-events");
@@ -372,14 +360,13 @@ int main(int argc, char** argv) {
       if (kernel == nullptr) continue;
       RunningStat stat;
       std::uint64_t hits = 0;
-      const ProbeBatch batch =
-          ProbeBatch::Of(trace->queries.data(), vals.data(), found.data(),
-                         trace->queries.size());
+      // Replay honors --prefetch-distance (0 = the direct path).
+      const ProbeBatch batch = ProbeBatch::Of(
+          trace->queries.data(), vals.data(), found.data(),
+          trace->queries.size(), spec.run.prefetch_distance);
       for (unsigned rep = 0; rep < spec.run.repeats; ++rep) {
         Timer timer;
-        // Replay honors --prefetch: the pipeline is a no-op for 'none'.
-        hits = PipelinedLookup(*kernel, table.view(), batch,
-                               spec.run.pipeline);
+        hits = kernel->Lookup(table.view(), batch);
         stat.Add(static_cast<double>(trace->queries.size()) /
                  timer.ElapsedSeconds() / 1e6);
       }
